@@ -406,7 +406,8 @@ def character_diagonalization(g: Groupoid) -> tuple[np.ndarray, list[tuple[str, 
                 u[t, col] = np.conj(table.values[k, i]) / np.sqrt(size)
             labels.append((g.label(x), table.exponents[k]))
             col += 1
-    assert col == n
+    if col != n:
+        raise RuntimeError(f"character tables cover {col} of {n} transitions")
     return u, labels
 
 

@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError, AssertionError) as e:
+    except (RuntimeError, ArithmeticError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
 

@@ -118,7 +118,9 @@ def hamiltonian_from_element(elem: AlgebraElement, g: Groupoid, rep: str = FUNDA
     if not involution(elem, g).isclose(elem, 1e-12):
         raise ValueError("Hamiltonian element must be self-adjoint under the involution")
     m = representation_matrix(elem, g, rep).matrix
-    assert operator_norm(m - m.conj().T) <= 1e-12
+    residual = operator_norm(m - m.conj().T)
+    if residual > 1e-12:
+        raise RuntimeError(f"represented Hamiltonian is not self-adjoint: residual {residual:.3e}")
     return Hamiltonian((m + m.conj().T) / 2.0, rep, g, elem)
 
 

@@ -195,7 +195,8 @@ def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> co
 def quantum_measure(s: StateFn, a: Iterable[int]) -> float:
     """Diagonal of the pairwise functional; real by conjugation symmetry."""
     d = decoherence_functional(s, a, a)
-    assert abs(d.imag) <= 1e-12 * max(1.0, abs(d)), "measure came out non-real"
+    if abs(d.imag) > 1e-12 * max(1.0, abs(d)):
+        raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
     return float(d.real)
 
 

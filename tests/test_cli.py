@@ -5,7 +5,9 @@ exit code plus captured stdout/stderr, so the assertions cover exactly
 what a shell user would see.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,14 @@ def test_lattice_quantum_violations(capsys):
         assert row["residual"] > 0.1
 
 
+@pytest.mark.parametrize("command", ["lattice", "classify"])
+def test_negative_samples_rejected(capsys, command):
+    code, out, err = run(capsys, command, QCAT, "--samples", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--samples" in err
+
+
 # -- measure ----------------------------------------------------------------------
 
 
@@ -351,3 +361,17 @@ def test_bad_bipartition_flag(capsys):
         main(["evolve", QCAT, "--state", DIAGONAL, "--hamiltonian", HOPPING,
               "--bipartition", "4"])
     assert "dimA:dimB" in capsys.readouterr().err
+
+
+def test_source_has_no_assert_statements():
+    # `python -O` strips asserts, so runtime checks must raise errors the CLI maps to exit codes
+    package = Path(main.__code__.co_filename).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

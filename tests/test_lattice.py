@@ -1,5 +1,8 @@
 """Proposition lattice: certification, order, meet/join, Boolean checks."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from groupoidqm import (
     transition_proposition,
     unit_proposition,
 )
-from groupoidqm.lattice import meet_unsymmetrized
+from groupoidqm.lattice import LawViolation, _meet_m, meet_unsymmetrized
 
 from conftest import random_projection
 
@@ -141,6 +144,28 @@ def test_meet_reports_nonconvergence():
     assert exc.value.residual > 0
 
 
+def test_commuting_meet_converges_in_one_squaring():
+    p = certified(np.diag([1.0, 1.0, 0.0]))
+    q = certified(np.diag([0.0, 1.0, 1.0]))
+    assert_allclose(meet(p, q, max_iter=1).matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-15)
+
+
+def test_stacked_meet_equals_pairwise_meet():
+    rng = np.random.default_rng(5)
+    dim = 6
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    pairs = []
+    for k in range(12):
+        if k % 3 == 0:  # commuting pairs settle after one squaring, the others take longer
+            diag = rng.integers(0, 2, size=(2, dim))
+            pairs.append([(basis * d) @ basis.conj().T for d in diag])
+        else:
+            pairs.append([random_projection(rng, dim, int(rng.integers(1, dim))) for _ in range(2)])
+    stacked = _meet_m(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+    for (p, q), m in zip(pairs, stacked):
+        assert_allclose(m, meet(certified(p), certified(q)).matrix, atol=1e-12)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 8), st.integers(0, 10))
 def test_meet_matches_range_intersection_oracle(dim, salt):
@@ -238,6 +263,98 @@ def test_check_boolean_fail_fast_stops_early():
     g = pair_groupoid(2)
     report = check_boolean(canonical_propositions(g), fail_fast=True)
     assert len(report.violations) == 1
+
+
+def reference_check_boolean(props, tol=1e-9, fail_fast=False):
+    """Per-pair and per-triple loops with the range-intersection oracle as the meet."""
+    mats = [p.matrix for p in props]
+    n = len(mats)
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+
+    def meet_(a, b):
+        return range_intersection_projection(a, b)
+
+    def join_(a, b):
+        return eye - range_intersection_projection(eye - a, eye - b)
+
+    violations = []
+
+    def done():
+        return fail_fast and bool(violations)
+
+    below = [[operator_norm(mats[i] @ mats[j] - mats[i]) <= tol for j in range(n)] for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if i == j or done():
+            continue
+        if below[i][j] and below[j][i]:
+            res = operator_norm(mats[i] - mats[j])
+            if res > tol:
+                violations.append(LawViolation("antisymmetry", (i, j), res))
+                continue
+        if below[i][j]:
+            res = operator_norm(mats[j] - join_(mats[i], meet_(mats[j], eye - mats[i])))
+            if res > tol:
+                violations.append(LawViolation("orthomodularity", (i, j), res))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if not done() and below[i][j] and below[j][k] and not below[i][k]:
+            violations.append(LawViolation("transitivity", (i, j, k), operator_norm(mats[i] @ mats[k] - mats[i])))
+    triples = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        for k in range(j, n):
+            if done():
+                break
+            triples += 1
+            res = operator_norm(meet_(mats[i], join_(mats[j], mats[k])) - join_(meet_(mats[i], mats[j]), meet_(mats[i], mats[k])))
+            if res > tol:
+                violations.append(LawViolation("distributivity-meet-over-join", (i, j, k), res))
+                if done():
+                    break
+            res = operator_norm(join_(mats[i], meet_(mats[j], mats[k])) - meet_(join_(mats[i], mats[j]), join_(mats[i], mats[k])))
+            if res > tol:
+                violations.append(LawViolation("distributivity-join-over-meet", (i, j, k), res))
+        if done():
+            break
+    return n * (n + 1) // 2, triples, violations
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(2, 8),
+    st.lists(st.booleans(), min_size=3, max_size=7),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_check_boolean_matches_reference_loops(dim, commuting, fail_fast, salt):
+    rng = np.random.default_rng([dim, salt])
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    mats = [
+        (basis * rng.integers(0, 2, size=dim)) @ basis.conj().T
+        if shared
+        else random_projection(rng, dim, int(rng.integers(1, dim)))
+        for shared in commuting
+    ]
+    props = [certified(m) for m in mats]
+    report = check_boolean(props, fail_fast=fail_fast)
+    pairs, triples, violations = reference_check_boolean(props, fail_fast=fail_fast)
+    assert (report.pairs_tested, report.triples_tested) == (pairs, triples)
+    assert [(v.law, v.operands) for v in report.violations] == [(v.law, v.operands) for v in violations]
+    for got, want in zip(report.violations, violations):
+        assert abs(got.residual - want.residual) <= 1e-9
+
+
+def test_check_boolean_memory_stays_chunked():
+    # a first verdict pays one-off allocations that later calls do not repeat
+    classicality_verdict(pair_groupoid(2))
+    g = pair_groupoid(5)
+    tracemalloc.start()
+    try:
+        classicality_verdict(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # per-pair loops peak at 4.4 MiB; whole (n, n, d, d) stacks at over 20 MiB
+    assert peak <= 6.6 * 2**20
 
 
 def test_orthomodularity_holds_even_off_boolean():
