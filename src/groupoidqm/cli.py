@@ -262,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze finite groupoids: validation, classicality, measures, dynamics.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-    common.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance override")
     common.add_argument("--format", choices=("text", "structured"), default="text")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    tuned = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    tuned.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="check a groupoid file against all axioms")
@@ -275,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("lattice", parents=[common], help="test Boolean laws on the canonical propositions")
+    p = sub.add_parser("lattice", parents=[tuned], help="test Boolean laws on the canonical propositions")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=5, help="random eigenprojections to include")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("classify", parents=[common], help="three-route classicality verdict")
+    p = sub.add_parser("classify", parents=[tuned], help="three-route classicality verdict")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=5)
     p.set_defaults(func=cmd_classify)
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipartition", type=_bipartition_flag, default=None, help="dimA:dimB")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("theorem", parents=[common], help="separability check or entanglement counterexample")
+    p = sub.add_parser("theorem", parents=[seeded], help="separability check or entanglement counterexample")
     p.add_argument("path_a", help="first factor groupoid file")
     p.add_argument("path_b", help="second factor groupoid file")
     p.add_argument("--trials", type=int, default=50)

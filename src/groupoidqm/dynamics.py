@@ -1,9 +1,11 @@
 """Unitary dynamics in the outcome representation and bipartite structure.
 
 Hamiltonians are self-adjoint algebra elements (or matrices certified
-to lie in the represented algebra).  Evolution goes through one
-eigendecomposition; unitarity, normalization and energy conservation
-are tracked as residuals rather than assumed.
+to lie in the represented algebra).  All dynamics goes through one
+kernel: one eigendecomposition of the Hamiltonian, then one batched
+propagation that yields every grid point at once, and one batched SVD
+for the Schmidt data of a stack of states.  Unitarity, normalization
+and energy conservation are tracked as residuals rather than assumed.
 
 For a direct product whose first factor is totally disconnected, the
 outcome space splits into blocks, one per first-factor outcome, and
@@ -154,8 +156,17 @@ def hamiltonian_from_matrix(
     return Hamiltonian((m + m.conj().T) / 2.0, rep, g, elem)
 
 
-def _eig_unitary(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    return (v * np.exp(1j * w * t)) @ v.conj().T
+def _propagate(w: np.ndarray, v: np.ndarray, times: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Evolve ``start`` to every grid point under H = v diag(w) v^dagger.
+
+    A vector start gives a (T, d) stack of vectors, a density start a
+    (T, d, d) stack of densities.
+    """
+    ph = np.exp(-1j * np.multiply.outer(times, w))
+    if start.ndim == 1:
+        return (ph * (v.conj().T @ start)) @ v.T
+    r = v.conj().T @ start @ v
+    return v @ (ph[:, :, None] * r * ph.conj()[:, None, :]) @ v.conj().T
 
 
 def heisenberg(h: Hamiltonian, op: Operator | AlgebraElement, t: float) -> Operator:
@@ -165,8 +176,7 @@ def heisenberg(h: Hamiltonian, op: Operator | AlgebraElement, t: float) -> Opera
     if op.rep != h.rep:
         raise ValueError("observable and Hamiltonian live in different representations")
     w, v = np.linalg.eigh(h.matrix)
-    u = _eig_unitary(w, v, t)
-    return Operator(h.rep, u @ op.matrix @ u.conj().T)
+    return Operator(h.rep, _propagate(w, v, np.array([-float(t)]), op.matrix)[0])
 
 
 # -- Schmidt diagnostics ---------------------------------------------------
@@ -186,28 +196,37 @@ class SchmidtDiagnostics:
         return self.rank == 1
 
 
+def _schmidt(vecs: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> tuple[np.ndarray, ...]:
+    """Schmidt coefficients, ranks, entropies and ratios of a (T, da*db) stack.
+
+    One batched SVD over the (T, da, db) reshapes.  The rank counts
+    coefficients above ``tol`` times the largest one; the ratio is the
+    second coefficient over the first, 0 when there is only one.
+    """
+    da, db = dims
+    if vecs.shape[-1] != da * db:
+        raise ValueError(f"vector of length {vecs.shape[-1]} does not match bipartition {dims}")
+    sv = np.linalg.svd(vecs.reshape(-1, da, db), compute_uv=False)
+    if not np.all(sv[:, 0] > 0.0):
+        raise ValueError("zero vector has no Schmidt structure")
+    rank = np.sum(sv > tol * sv[:, :1], axis=1)
+    p = (sv / np.linalg.norm(sv, axis=1, keepdims=True)) ** 2
+    keep = p > 1e-18
+    entropy = -np.sum(np.where(keep, p * np.log(np.where(keep, p, 1.0)), 0.0), axis=1)
+    entropy[entropy <= 0.0] = 0.0  # clamp -0.0 and negative rounding noise
+    ratio = sv[:, 1] / sv[:, 0] if sv.shape[1] > 1 else np.zeros(len(sv))
+    return sv, rank, entropy, ratio
+
+
 def schmidt_diagnostics(vec: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> SchmidtDiagnostics:
     """Schmidt coefficients, rank, entanglement entropy and second/first ratio.
 
     The vector is reshaped row-major to dims (first factor major), so it
     matches the outcome ordering of `direct_product`.
     """
-    da, db = dims
     vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.shape != (da * db,):
-        raise ValueError(f"vector of length {vec.size} does not match bipartition {dims}")
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
-        raise ValueError("zero vector has no Schmidt structure")
-    sv = np.linalg.svd(vec.reshape(da, db), compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0]))
-    p = (sv / np.linalg.norm(sv)) ** 2
-    p = p[p > 1e-18]
-    entropy = float(-np.sum(p * np.log(p)))
-    if entropy <= 0.0:  # clamp -0.0 and negative rounding noise
-        entropy = 0.0
-    ratio = float(sv[1] / sv[0]) if sv.size > 1 else 0.0
-    return SchmidtDiagnostics(sv, rank, entropy, ratio)
+    sv, rank, entropy, ratio = _schmidt(vec[None], dims, tol)
+    return SchmidtDiagnostics(sv[0], int(rank[0]), float(entropy[0]), float(ratio[0]))
 
 
 # -- evolution -------------------------------------------------------------
@@ -242,9 +261,11 @@ def evolve(
 ) -> EvolutionTrace:
     """Evolve a state along a time grid with one eigendecomposition.
 
-    Unitarity of every step and conservation of norm (or trace) are
-    recorded; drifts beyond ``tol`` raise, since they can only come from
-    a numerical breakdown.
+    One ``eigh`` of the Hamiltonian gives the whole grid in one batched
+    propagation: a stack of vectors for a pure state, a stack of
+    densities otherwise.  Unitarity of every step and conservation of
+    norm (or trace) are recorded; drifts beyond ``tol`` raise, since
+    they can only come from a numerical breakdown.
     """
     if times is None:
         times = parse_grid(*DEFAULT_GRID)
@@ -253,50 +274,35 @@ def evolve(
         raise ValueError("state and Hamiltonian live in different representations")
     dim = h.dim
     w, v = np.linalg.eigh(h.matrix)
-    unitarity = np.empty(times.size)
-    eye = np.eye(dim)
-    for i, t in enumerate(times):
-        u = _eig_unitary(w, v, float(t))
-        unitarity[i] = float(np.linalg.norm(u @ u.conj().T - eye))
+    u = (v * np.exp(1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T
+    unitarity = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(dim), axis=(1, 2))
     if unitarity.max() > tol:
         raise RuntimeError(f"evolution lost unitarity: residual {unitarity.max():.3e}")
 
-    vectors = densities = None
-    schmidt: list[SchmidtDiagnostics] | None = None
-    norm_res = np.empty(times.size)
-    energy_res = np.empty(times.size)
+    vectors = densities = schmidt = None
     if bipartition is not None and state.vector is None:
         raise ValueError("Schmidt diagnostics need a pure state given by a vector")
     if state.vector is not None:
         psi0 = np.asarray(state.vector, dtype=complex).ravel()
         if psi0.size != dim:
             raise ValueError("state dimension does not match the Hamiltonian")
-        coef = v.conj().T @ psi0
         e0 = float(np.real(np.vdot(psi0, h.matrix @ psi0)))
-        vectors = np.empty((times.size, dim), dtype=complex)
-        schmidt = [] if bipartition is not None else None
-        for i, t in enumerate(times):
-            psi = v @ (np.exp(-1j * w * float(t)) * coef)
-            vectors[i] = psi
-            norm_res[i] = abs(float(np.linalg.norm(psi)) - 1.0)
-            energy_res[i] = abs(float(np.real(np.vdot(psi, h.matrix @ psi))) - e0)
-            if schmidt is not None:
-                schmidt.append(schmidt_diagnostics(psi, bipartition))
+        vectors = _propagate(w, v, times, psi0)
+        norm_res = np.abs(np.linalg.norm(vectors, axis=1) - 1.0)
+        energy_res = np.abs(np.sum(vectors.conj() * (vectors @ h.matrix.T), axis=1).real - e0)
+        if bipartition is not None:
+            sv, rank, entropy, ratio = _schmidt(vectors, bipartition)
+            schmidt = tuple(map(SchmidtDiagnostics, sv, rank.tolist(), entropy.tolist(), ratio.tolist()))
     else:
         if state.density is None:
             raise ValueError("state carries neither a vector nor a density matrix")
         rho0 = np.asarray(state.density, dtype=complex)
         if rho0.shape != (dim, dim):
             raise ValueError("state dimension does not match the Hamiltonian")
-        r = v.conj().T @ rho0 @ v
         e0 = float(np.real(np.trace(rho0 @ h.matrix)))
-        densities = np.empty((times.size, dim, dim), dtype=complex)
-        for i, t in enumerate(times):
-            ph = np.exp(-1j * w * float(t))
-            rho = v @ ((ph[:, None] * r) * ph.conj()[None, :]) @ v.conj().T
-            densities[i] = rho
-            norm_res[i] = abs(complex(np.trace(rho)).real - 1.0)
-            energy_res[i] = abs(float(np.real(np.trace(rho @ h.matrix))) - e0)
+        densities = _propagate(w, v, times, rho0)
+        norm_res = np.abs(np.trace(densities, axis1=1, axis2=2).real - 1.0)
+        energy_res = np.abs(np.einsum("tij,ji->t", densities, h.matrix).real - e0)
     if norm_res.max() > tol:
         raise RuntimeError(f"evolution lost normalization: residual {norm_res.max():.3e}")
     return EvolutionTrace(
@@ -307,7 +313,7 @@ def evolve(
         norm_residuals=norm_res,
         unitarity_residuals=unitarity,
         energy_residuals=energy_res,
-        schmidt=tuple(schmidt) if schmidt is not None else None,
+        schmidt=schmidt,
     )
 
 
@@ -428,6 +434,18 @@ def _run_trials(n_trials: int, jobs: int, worker) -> list[TrialRecord]:
         return list(pool.map(worker, range(n_trials)))
 
 
+def _trial_start(seed: int, i: int, product: Groupoid, da: int, db: int) -> tuple:
+    """Trial ``i``'s first draws, in the order both theorem modes share:
+    a Hamiltonian, then a first-factor outcome and a unit vector on its block."""
+    rng = np.random.default_rng([seed, i])
+    h, support = _sample_hamiltonian(rng, product, FUNDAMENTAL)
+    w, v = np.linalg.eigh(h)
+    xa = int(rng.integers(da))
+    psi0 = np.zeros(da * db, dtype=complex)
+    psi0[xa * db:(xa + 1) * db] = _random_unit(rng, db)
+    return rng, support, w, v, psi0
+
+
 def separability_theorem_check(
     ga: Groupoid,
     gb: Groupoid,
@@ -460,20 +478,8 @@ def separability_theorem_check(
         offdiag_mask[s, s] = False
 
     def worker(i: int) -> TrialRecord:
-        rng = np.random.default_rng([seed, i])
-        h, support = _sample_hamiltonian(rng, product, FUNDAMENTAL)
-        w, v = np.linalg.eigh(h)
-
-        xa = int(rng.integers(da))
-        psi0 = np.zeros(da * db, dtype=complex)
-        psi0[block_slices[xa]] = _random_unit(rng, db)
-        coef = v.conj().T @ psi0
-        max_ratio = 0.0
-        for t in times:
-            psi = v @ (np.exp(-1j * w * float(t)) * coef)
-            sv = np.linalg.svd(psi.reshape(da, db), compute_uv=False)
-            if sv.size > 1 and sv[0] > 0:
-                max_ratio = max(max_ratio, float(sv[1] / sv[0]))
+        rng, support, w, v, psi0 = _trial_start(seed, i, product, da, db)
+        max_ratio = float(_schmidt(_propagate(w, v, times, psi0), (da, db))[3].max(initial=0.0))
 
         weights = rng.random(da) + 0.1
         weights /= weights.sum()
@@ -482,12 +488,8 @@ def separability_theorem_check(
             vec = np.zeros(da * db, dtype=complex)
             vec[block_slices[x]] = _random_unit(rng, db)
             rho0 += weights[x] * np.outer(vec, vec.conj())
-        r = v.conj().T @ rho0 @ v
-        max_off = 0.0
-        for t in times:
-            ph = np.exp(-1j * w * float(t))
-            rho = v @ ((ph[:, None] * r) * ph.conj()[None, :]) @ v.conj().T
-            max_off = max(max_off, float(np.linalg.norm(rho[offdiag_mask])))
+        rhos = _propagate(w, v, times, rho0)
+        max_off = float(np.linalg.norm(rhos[:, offdiag_mask], axis=1).max(initial=0.0))
 
         ok = max_ratio <= ratio_tol and max_off <= offblock_tol
         return TrialRecord(i, support_size=support, max_ratio=max_ratio, max_offblock=max_off, ok=ok)
@@ -529,27 +531,15 @@ def entanglement_counterexample(
     times = parse_grid(*grid)
 
     def worker(i: int) -> TrialRecord:
-        rng = np.random.default_rng([seed, i])
-        h, support = _sample_hamiltonian(rng, product, FUNDAMENTAL)
-        w, v = np.linalg.eigh(h)
-        xa = int(rng.integers(da))
-        psi0 = np.zeros(da * db, dtype=complex)
-        psi0[xa * db:(xa + 1) * db] = _random_unit(rng, db)
-        coef = v.conj().T @ psi0
-        max_entropy = 0.0
-        onset: float | None = None
-        for t in times:
-            psi = v @ (np.exp(-1j * w * float(t)) * coef)
-            diag = schmidt_diagnostics(psi, (da, db))
-            if diag.entropy > max_entropy:
-                max_entropy = diag.entropy
-            if onset is None and diag.entropy > entropy_threshold:
-                onset = float(t)
+        _, support, w, v, psi0 = _trial_start(seed, i, product, da, db)
+        entropy = _schmidt(_propagate(w, v, times, psi0), (da, db))[2]
+        max_entropy = float(entropy.max(initial=0.0))
+        above = np.flatnonzero(entropy > entropy_threshold)
         return TrialRecord(
             i,
             support_size=support,
             max_entropy=max_entropy,
-            onset_time=onset,
+            onset_time=float(times[above[0]]) if above.size else None,
             ok=max_entropy > entropy_threshold,
         )
 

@@ -300,11 +300,14 @@ def _parse_terms(raw: Any, origin: str) -> dict[int, complex]:
     for k, item in enumerate(raw):
         if not isinstance(item, dict) or "transition_id" not in item:
             raise FormatError(origin, [f"term {k}: expected {{transition_id, re, im}}"])
-        t = int(item["transition_id"])
-        c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        t, re, im = item["transition_id"], item.get("re", 0.0), item.get("im", 0.0)
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise FormatError(origin, [f"term {k}: transition_id must be an integer, got {t!r}"])
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+            raise FormatError(origin, [f"term {k}: re and im must be real numbers, got {re!r}, {im!r}"])
         if t in out:
             raise FormatError(origin, [f"term {k}: duplicate transition_id {t}"])
-        out[t] = c
+        out[t] = complex(re, im)
     return out
 
 

@@ -238,6 +238,8 @@ def meet(p: Proposition, q: Proposition, tol: float = MEET_TOL, max_iter: int = 
 
 def join(p: Proposition, q: Proposition, tol: float = MEET_TOL, max_iter: int = MEET_MAX_ITER) -> Proposition:
     """Smallest proposition above both arguments, via complements of meets."""
+    if p.dim != q.dim:
+        raise ValueError("propositions live in different spaces")
     m = _join_m(p.matrix[None], q.matrix[None], tol, max_iter)[0]
     return certify_proposition(m, rep=p.rep, label=_binary_label("or", p, q))
 

@@ -240,6 +240,14 @@ def test_measure_unknown_transition(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_measure_null_transition_id_names_file_and_term(capsys, tmp_path):
+    path = tmp_path / "null.state"
+    path.write_text('{"phi": [{"transition_id": 0, "re": 1.0}, {"transition_id": null, "re": 0.5}]}\n')
+    code, _, err = run(capsys, "measure", QCAT, "--state", str(path), "--sets", SETS)
+    assert code == 1
+    assert str(path) in err and "term 1" in err
+
+
 # -- evolve --------------------------------------------------------------------------
 
 
@@ -354,6 +362,26 @@ def test_theorem_seed_changes_trials(capsys):
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+ARGV_WITHOUT_SEED_OR_TOL = {
+    "validate": [CAT],
+    "info": [CAT],
+    "measure": [QCAT, "--state", SUPERPOSITION, "--sets", SETS],
+    "evolve": [QCAT, "--state", DIAGONAL, "--hamiltonian", HOPPING],
+    "theorem": [CAT, QCAT, "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, "--seed") for c in ("validate", "info", "measure", "evolve")]
+    + [(c, "--tol") for c in ("validate", "info", "measure", "evolve", "theorem")],
+)
+def test_flags_are_rejected_where_they_change_nothing(capsys, command, flag):
+    with pytest.raises(SystemExit):
+        main([command, *ARGV_WITHOUT_SEED_OR_TOL[command], flag, "3"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_bipartition_flag(capsys):

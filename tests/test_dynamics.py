@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groupoidqm import (
@@ -13,6 +15,7 @@ from groupoidqm import (
     cyclic_group,
     direct_product,
     discrete_groupoid,
+    disjoint_union,
     entanglement_counterexample,
     evolve,
     hamiltonian_from_element,
@@ -25,6 +28,7 @@ from groupoidqm import (
     schmidt_diagnostics,
     separability_theorem_check,
     state_from_density,
+    symmetric_group,
 )
 from groupoidqm.dynamics import parse_grid
 
@@ -204,6 +208,97 @@ def test_evolve_tracks_schmidt_data():
     assert all(d.rank == 1 for d in trace.schmidt)
 
 
+def reference_schmidt(vec, dims, tol=1e-9):
+    """Schmidt data with one SVD per state: the reference for the batched routine."""
+    sv = np.linalg.svd(vec.reshape(dims), compute_uv=False)
+    rank = int(np.sum(sv > tol * sv[0]))
+    p = (sv / np.linalg.norm(sv)) ** 2
+    p = p[p > 1e-18]
+    entropy = float(-np.sum(p * np.log(p)))
+    if entropy <= 0.0:
+        entropy = 0.0
+    ratio = float(sv[1] / sv[0]) if sv.size > 1 else 0.0
+    return sv, rank, entropy, ratio
+
+
+def reference_evolve(h, state, times, bipartition):
+    """One grid point at a time: the reference for the batched kernel of `evolve`."""
+    w, v = np.linalg.eigh(h.matrix)
+    out = {"unitarity": [], "norm": [], "energy": [], "states": [], "schmidt": []}
+    for t in times:
+        u = (v * np.exp(1j * w * float(t))) @ v.conj().T
+        out["unitarity"].append(np.linalg.norm(u @ u.conj().T - np.eye(h.dim)))
+    if state.vector is not None:
+        psi0 = np.asarray(state.vector, dtype=complex)
+        coef = v.conj().T @ psi0
+        e0 = np.real(np.vdot(psi0, h.matrix @ psi0))
+        for t in times:
+            psi = v @ (np.exp(-1j * w * float(t)) * coef)
+            out["states"].append(psi)
+            out["norm"].append(abs(np.linalg.norm(psi) - 1.0))
+            out["energy"].append(abs(np.real(np.vdot(psi, h.matrix @ psi)) - e0))
+            if bipartition is not None:
+                out["schmidt"].append(reference_schmidt(psi, bipartition))
+    else:
+        rho0 = np.asarray(state.density, dtype=complex)
+        r = v.conj().T @ rho0 @ v
+        e0 = np.real(np.trace(rho0 @ h.matrix))
+        for t in times:
+            ph = np.exp(-1j * w * float(t))
+            rho = v @ ((ph[:, None] * r) * ph.conj()[None, :]) @ v.conj().T
+            out["states"].append(rho)
+            out["norm"].append(abs(np.trace(rho).real - 1.0))
+            out["energy"].append(abs(np.real(np.trace(rho @ h.matrix)) - e0))
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(2, 9),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(1, 30),
+    st.floats(0.0, 10.0),
+    st.data(),
+)
+def test_evolve_matches_reference_loops(d, seed, pure, steps, stop, data):
+    rng = np.random.default_rng(seed)
+    g = pair_groupoid(d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = hamiltonian_from_matrix(m + m.conj().T, g)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    vec /= np.linalg.norm(vec)
+    if pure:
+        state = pure_state(vec, g, FUNDAMENTAL)
+        splits = [(a, d // a) for a in range(1, d + 1) if d % a == 0]
+        bipartition = data.draw(st.one_of(st.none(), st.sampled_from(splits)))
+    else:
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ a.conj().T
+        state = state_from_density(rho / np.trace(rho).real, g, FUNDAMENTAL)
+        bipartition = None
+    times = parse_grid(0.0, stop, steps)
+
+    trace = evolve(h, state, times, bipartition=bipartition)
+    ref = reference_evolve(h, state, times, bipartition)
+    got = trace.vectors if pure else trace.densities
+    assert (trace.densities if pure else trace.vectors) is None
+    assert_allclose(got, np.array(ref["states"]), rtol=0, atol=1e-12)
+    assert_allclose(trace.norm_residuals, ref["norm"], rtol=0, atol=1e-12)
+    assert_allclose(trace.energy_residuals, ref["energy"], rtol=0, atol=1e-12)
+    assert_allclose(trace.unitarity_residuals, ref["unitarity"], rtol=0, atol=1e-12)
+    if bipartition is None:
+        assert trace.schmidt is None
+        return
+    assert len(trace.schmidt) == len(ref["schmidt"])
+    for diag, (sv, rank, entropy, ratio) in zip(trace.schmidt, ref["schmidt"]):
+        assert_allclose(diag.coefficients, sv, rtol=0, atol=1e-12)
+        assert diag.rank == rank
+        assert diag.entropy == pytest.approx(entropy, rel=0, abs=1e-12)
+        assert diag.ratio == pytest.approx(ratio, rel=0, abs=1e-12)
+        assert diag.entropy >= 0.0 and not np.signbit(diag.entropy)  # -0.0 is clamped too
+
+
 # -- Schmidt diagnostics -------------------------------------------------------------
 
 
@@ -280,3 +375,27 @@ def test_reports_are_deterministic_across_runs():
     assert a.to_dict() == b.to_dict()
     c = entanglement_counterexample(pair_groupoid(2), pair_groupoid(2), trials=5, grid=QUICK_GRID, seed=8)
     assert c.to_dict() != a.to_dict()
+
+
+# Per-trial (support_size, ok, onset_time) of two seeded runs.  They pin the
+# order of the random draws of each trial: the Hamiltonian, the first-factor
+# outcome and the start vector, then (separability only) the mixture.
+ENTANGLEMENT_SEED_31 = [
+    (45, True, 0.2), (28, True, 0.2), (26, True, 0.2), (33, True, 0.1), (3, False, None),
+    (81, True, 0.1), (73, True, 0.1), (12, True, 0.30000000000000004), (57, True, 0.1), (74, True, 0.2),
+    (72, True, 0.1), (28, True, 0.2), (12, True, 0.2), (78, True, 0.1), (29, True, 0.2),
+    (1, False, None), (61, True, 0.2), (61, True, 0.1), (1, False, None), (5, True, 0.9),
+]
+SEPARABILITY_SEED_42_SUPPORTS = [
+    10, 69, 24, 84, 44, 29, 74, 52, 45, 87, 92, 51, 59, 14, 107, 82, 43, 21, 100, 37,
+]
+
+
+def test_theorem_trials_keep_their_draw_order():
+    ent = entanglement_counterexample(pair_groupoid(3), pair_groupoid(3), trials=20, seed=31)
+    assert [(t.support_size, t.ok, t.onset_time) for t in ent.trials] == ENTANGLEMENT_SEED_31
+    assert ent.fraction_entangled == 0.85
+    s3s3 = disjoint_union([symmetric_group(3), symmetric_group(3)])
+    sep = separability_theorem_check(s3s3, pair_groupoid(3), trials=20, seed=42)
+    expected = [(k, True, None) for k in SEPARABILITY_SEED_42_SUPPORTS]
+    assert [(t.support_size, t.ok, t.onset_time) for t in sep.trials] == expected

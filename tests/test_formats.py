@@ -209,6 +209,10 @@ def test_state_file_problems(tmp_path):
         ({"vector": [[1.0, 0.0], [0.0]]}, "entries must be"),
         ({}, "needs a 'vector', 'density' or 'phi' field"),
         ([1, 2], "must be a JSON object"),
+        ({"phi": [{"transition_id": None, "re": 1.0}]}, "term 0: transition_id must be an integer"),
+        ({"phi": [{"transition_id": 1.5, "re": 1.0}]}, "term 0: transition_id must be an integer"),
+        ({"phi": [{"transition_id": True, "re": 1.0}]}, "term 0: transition_id must be an integer"),
+        ({"phi": [{"transition_id": 0, "re": "abc"}]}, "term 0: re and im must be real numbers"),
     ]
     for payload, fragment in cases:
         path = tmp_path / "bad.state"
@@ -233,6 +237,23 @@ def test_element_duplicate_ids_rejected(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="duplicate transition_id"):
         load_element(str(path))
+
+
+@pytest.mark.parametrize(
+    "term,fragment",
+    [
+        ({"transition_id": None}, "transition_id must be an integer"),
+        ({"transition_id": 1.5}, "transition_id must be an integer"),
+        ({"transition_id": True}, "transition_id must be an integer"),
+        ({"transition_id": 2, "re": "abc"}, "re and im must be real numbers"),
+    ],
+)
+def test_element_terms_are_typed(tmp_path, term, fragment):
+    path = tmp_path / "h.element"
+    path.write_text(json.dumps({"terms": [{"transition_id": 0, "re": 1.0}, term]}))
+    with pytest.raises(FormatError, match=f"term 1: {fragment}") as exc:
+        load_element(str(path))
+    assert exc.value.origin == str(path)
 
 
 def test_history_sets_roundtrip(tmp_path):

@@ -131,8 +131,9 @@ def test_meet_is_the_common_part():
 
 
 def test_meet_raises_on_dimension_mismatch():
-    with pytest.raises(ValueError, match="different spaces"):
-        meet(certified(np.eye(2)), certified(np.eye(3)))
+    for op in (meet, join):
+        with pytest.raises(ValueError, match="different spaces"):
+            op(certified(np.eye(2)), certified(np.eye(3)))
 
 
 def test_meet_reports_nonconvergence():
