@@ -135,22 +135,31 @@ def _check_element(a: AlgebraElement, g: Groupoid) -> None:
             raise ValueError(f"transition id {k} does not belong to this groupoid")
 
 
+def _terms(a: AlgebraElement, g: Groupoid) -> tuple[np.ndarray, np.ndarray]:
+    """Transition ids and coefficients of ``a`` as arrays, in coefficient order."""
+    _check_element(a, g)
+    return np.array(list(a.coeffs), dtype=np.intp), np.array(list(a.coeffs.values()), dtype=complex)
+
+
 def unit_element(g: Groupoid) -> AlgebraElement:
     """The algebra unit: the sum of all object units."""
     return AlgebraElement({g.unit(x): 1.0 for x in range(g.n_objects)})
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement, g: Groupoid) -> AlgebraElement:
-    """Convolution product: composable pairs compose, the rest vanish."""
-    _check_element(a, g)
-    _check_element(b, g)
-    out: dict[int, complex] = {}
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            if g.composable(i, j):
-                k = g.compose(i, j)
-                out[k] = out.get(k, 0j) + ci * cj
-    return AlgebraElement(out)
+    """Convolution product: composable pairs compose, the rest vanish.
+
+    Products landing on one transition are summed in the order of the
+    pairs, ``a``'s terms outermost.
+    """
+    ia, ca = _terms(a, g)
+    ib, cb = _terms(b, g)
+    composite = g.table[ia[:, None], ib[None, :]]
+    hit = composite >= 0
+    out = np.zeros(g.n_transitions, dtype=complex)
+    np.add.at(out, composite[hit], np.multiply.outer(ca, cb)[hit])
+    keys = np.flatnonzero(np.bincount(composite[hit], minlength=g.n_transitions))
+    return AlgebraElement(dict(zip(keys.tolist(), out[keys].tolist())))
 
 
 def involution(a: AlgebraElement, g: Groupoid) -> AlgebraElement:
@@ -165,15 +174,17 @@ def involution(a: AlgebraElement, g: Groupoid) -> AlgebraElement:
 def left_regular(a: AlgebraElement, g: Groupoid) -> Operator:
     """Act on the transition space: one basis vector per transition.
 
-    The image of a basis transition has a single 1 per admissible
-    column, so the representation is faithful and *-preserving.
+    The image of a basis transition t has a single 1 at (t∘j, j) for
+    every j that t can follow, so the representation is faithful and
+    *-preserving.  The element is scattered through its rows of the
+    composition table.
     """
-    _check_element(a, g)
+    ids, coeffs = _terms(a, g)
     n = g.n_transitions
+    rows = g.table[ids]
+    term, col = np.nonzero(rows >= 0)
     m = np.zeros((n, n), dtype=complex)
-    for i, c in a.coeffs.items():
-        for j in g.transitions_into(g.source[i]):
-            m[g.compose(i, j), j] += c
+    np.add.at(m, (rows[term, col], col), coeffs[term])
     return Operator(LEFT_REGULAR, m)
 
 
@@ -182,12 +193,12 @@ def fundamental(a: AlgebraElement, g: Groupoid) -> Operator:
 
     Each transition becomes the matrix unit target-from-source, so all
     loops at an object act alike and isotropy detail is forgotten.
+    Terms sharing an entry are summed in coefficient order.
     """
-    _check_element(a, g)
+    ids, coeffs = _terms(a, g)
     n = g.n_objects
     m = np.zeros((n, n), dtype=complex)
-    for i, c in a.coeffs.items():
-        m[g.target[i], g.source[i]] += c
+    np.add.at(m, (g.target[ids], g.source[ids]), coeffs)
     return Operator(FUNDAMENTAL, m)
 
 
@@ -263,17 +274,10 @@ def is_abelian(g: Groupoid) -> bool:
     """Structural commutativity of the transition algebra.
 
     Basis transitions commute exactly when composability is symmetric
-    and the two composites agree.
+    and the two composites agree, that is, when the composition table
+    is symmetric.
     """
-    for a in range(g.n_transitions):
-        for b in range(a + 1, g.n_transitions):
-            ab = g.composable(a, b)
-            ba = g.composable(b, a)
-            if ab != ba:
-                return False
-            if ab and g.compose(a, b) != g.compose(b, a):
-                return False
-    return True
+    return bool(np.array_equal(g.table, g.table.T))
 
 
 # -- characters of abelian isotropy --------------------------------------

@@ -84,19 +84,17 @@ def block_structure(product: Groupoid) -> BlockStructure:
         raise ValueError("block structure needs a groupoid built by direct_product")
     ga, gb = product.factors
     orbits = orbit_decomposition(ga).orbits
-    orbit_of = {}
+    orbit_of = np.empty(ga.n_objects, dtype=np.intp)
     for k, orb in enumerate(orbits):
-        for x in orb:
-            orbit_of[x] = k
-    nb = gb.n_objects
-    blocks: list[list[int]] = [[] for _ in orbits]
-    for x in range(product.n_objects):
-        blocks[orbit_of[x // nb]].append(x)
+        orbit_of[list(orb)] = k
+    # product object x * nb + y lies in the block of first-factor object x
+    block_of = orbit_of[np.arange(product.n_objects) // gb.n_objects]
+    blocks = tuple(tuple(np.flatnonzero(block_of == k).tolist()) for k in range(len(orbits)))
     labels = tuple("+".join(ga.label(x) for x in orb) for orb in orbits)
-    for t in range(product.n_transitions):
-        if orbit_of[product.source[t] // nb] != orbit_of[product.target[t] // nb]:
-            raise RuntimeError(f"transition {t} escapes its block; product tables are corrupted")
-    return BlockStructure(tuple(tuple(b) for b in blocks), labels)
+    escaped = np.flatnonzero(block_of[product.source] != block_of[product.target])
+    if escaped.size:
+        raise RuntimeError(f"transition {escaped[0]} escapes its block; product tables are corrupted")
+    return BlockStructure(blocks, labels)
 
 
 # -- Hamiltonians ----------------------------------------------------------

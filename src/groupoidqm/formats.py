@@ -245,8 +245,8 @@ def dump_groupoid_text(g: Groupoid, names: Sequence[str] | None = None) -> str:
         j = g.inverse(i)
         if i <= j:
             lines.append(f"inverse: {names[i]} {names[j]}")
-    for (a, b), c in sorted(g.composition.items()):
-        lines.append(f"compose: {names[a]} {names[b]} {names[c]}")
+    for a, b in np.argwhere(g.table >= 0).tolist():
+        lines.append(f"compose: {names[a]} {names[b]} {names[g.table[a, b]]}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,7 +365,7 @@ def load_history_sets(path: str) -> list[tuple[str, frozenset[int]]]:
             ids = item.get("transitions")
         else:
             name, ids = f"S{k}", item
-        if not isinstance(ids, list) or not all(isinstance(i, int) for i in ids):
+        if not isinstance(ids, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids):
             raise FormatError(path, [f"set {k}: transitions must be a list of integer ids"])
         if name in seen:
             raise FormatError(path, [f"set {k}: duplicate name {name!r}"])
@@ -391,6 +391,9 @@ def load_operator(path: str) -> Operator:
     if rep not in REPRESENTATIONS:
         raise FormatError(path, [f"unknown representation {rep!r}"])
     m = parse_complex_matrix(obj["matrix"], path, "matrix")
-    if "dim" in obj and int(obj["dim"]) != m.shape[0]:
+    dim = obj.get("dim", m.shape[0])
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise FormatError(path, [f"dim must be an integer, got {dim!r}"])
+    if dim != m.shape[0]:
         raise FormatError(path, ["declared dim does not match the matrix"])
     return Operator(rep, m)

@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraElement,
     Operator,
     algebra_basis,
+    involution,
     operator_norm,
     representation_matrix,
 )
@@ -295,6 +296,27 @@ def range_intersection_projection(p: Proposition | np.ndarray, q: Proposition | 
     return basis @ basis.conj().T
 
 
+def _eigen_clusters(m: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """Eigenvalues, eigenvectors and eigenvalue clusters of a self-adjoint matrix.
+
+    A cluster ends wherever the gap to the next eigenvalue exceeds
+    ``cluster_tol``; each cluster is a slice of the ascending spectrum.
+    """
+    herm_residual = operator_norm(m - m.conj().T)
+    if herm_residual > 1e-8:
+        raise ValueError(f"operator is not self-adjoint (residual {herm_residual:.3e})")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    ends = np.flatnonzero(np.diff(w) > cluster_tol) + 1
+    bounds = [0, *ends.tolist(), w.size] if w.size else []
+    return w, v, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _cluster_projection(w: np.ndarray, v: np.ndarray, cluster: slice, rep: str) -> Proposition:
+    block = v[:, cluster]
+    mean = float(np.mean(w[cluster]))
+    return certify_proposition(block @ block.conj().T, rep=rep, label=f"eig[{mean:.4g}]")
+
+
 def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, rep: str = LEFT_REGULAR) -> list[Proposition]:
     """Eigenprojections of a self-adjoint operator, one per eigenvalue cluster.
 
@@ -305,20 +327,8 @@ def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, r
         m, rep = op.matrix, op.rep
     else:
         m = np.asarray(op, dtype=complex)
-    herm_residual = operator_norm(m - m.conj().T)
-    if herm_residual > 1e-8:
-        raise ValueError(f"operator is not self-adjoint (residual {herm_residual:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    out: list[Proposition] = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > cluster_tol:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            mean = float(np.mean(w[start:i]))
-            out.append(certify_proposition(proj, rep=rep, label=f"eig[{mean:.4g}]"))
-            start = i
-    return out
+    w, v, clusters = _eigen_clusters(m, cluster_tol)
+    return [_cluster_projection(w, v, c, rep) for c in clusters]
 
 
 # -- canonical proposition families and lattice laws ----------------------
@@ -334,7 +344,9 @@ def canonical_propositions(
 
     All unit projections, the superposition projection of every
     connecting transition (one per inverse pair), and ``samples`` random
-    eigenprojections of random self-adjoint algebra elements.
+    eigenprojections of random self-adjoint algebra elements, each the
+    projection of one eigenvalue cluster (as in `spectral_projections`)
+    drawn uniformly; only the drawn projection is built and certified.
     """
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
@@ -348,13 +360,10 @@ def canonical_propositions(
         re = rng.standard_normal(n)
         im = rng.standard_normal(n)
         elem = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
-        from .algebra import involution  # local import to avoid cycle at module load
-
         sym = 0.5 * (elem + involution(elem, g))
-        mat = representation_matrix(sym, g, rep)
-        clusters = spectral_projections(mat, rep=rep)
+        w, v, clusters = _eigen_clusters(representation_matrix(sym, g, rep).matrix, 1e-8)
         pick = int(rng.integers(len(clusters)))
-        props.append(clusters[pick])
+        props.append(_cluster_projection(w, v, clusters[pick], rep))
     return props
 
 

@@ -15,11 +15,12 @@ whole construction and is pinned by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import LEFT_REGULAR, AlgebraElement, representation_matrix
+from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement
 from .groupoid import Groupoid
 
 __all__ = [
@@ -57,31 +58,35 @@ class StateFn:
     def phi_of(self, transition_id: int) -> complex:
         return self.phi[transition_id]
 
+    @cached_property
+    def _amplitudes(self) -> np.ndarray:
+        """``phi`` as an array indexed by transition id."""
+        return np.array([self.phi[t] for t in range(self.groupoid.n_transitions)], dtype=complex)
+
     def __call__(self, a: AlgebraElement) -> complex:
         return sum(c * self.phi[i] for i, c in a.coeffs.items())
 
 
-def _validate_phi(g: Groupoid, phi: dict[int, complex], tol: float = STATE_TOL) -> None:
-    units = [phi[g.unit(x)] for x in range(g.n_objects)]
+def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
+    """Check an amplitude array indexed by transition id."""
+    units = phi[[g.unit(x) for x in range(g.n_objects)]].tolist()
     for x, u in enumerate(units):
         if abs(u.imag) > tol or u.real < -tol:
             raise ValueError(f"unit amplitude at object {g.label(x)} is not a probability: {u:.3e}")
     total = sum(u.real for u in units)
     if abs(total - 1.0) > tol:
         raise ValueError(f"unit amplitudes sum to {total!r}, not 1")
-    for t in range(g.n_transitions):
-        if abs(phi[g.inverse(t)] - np.conj(phi[t])) > tol:
-            raise ValueError(f"amplitudes break conjugation symmetry at transition {t}")
-    # positivity: per-target Gram matrices must be positive semidefinite
+    asymmetric = np.flatnonzero(np.abs(phi[g.inverse_table] - np.conj(phi)) > tol)
+    if asymmetric.size:
+        raise ValueError(f"amplitudes break conjugation symmetry at transition {asymmetric[0]}")
+    # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD
     for y in range(g.n_objects):
-        family = g.transitions_into(y)
-        k = len(family)
-        gram = np.empty((k, k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                gram[a, b] = phi[g.compose(g.inverse(family[a]), family[b])]
-        gram = (gram + gram.conj().T) / 2.0
-        if k and float(np.linalg.eigvalsh(gram)[0]) < -tol:
+        family = np.flatnonzero(g.target == y)
+        composite = g.table[np.ix_(g.inverse_table[family], family)]
+        if (composite < 0).any():
+            raise ValueError(f"composition table has no entry for a pair into object {g.label(y)}")
+        gram = (phi[composite] + phi[composite].conj().T) / 2.0
+        if family.size and float(np.linalg.eigvalsh(gram)[0]) < -tol:
             raise ValueError(f"Gram matrix at object {g.label(y)} is not positive semidefinite")
 
 
@@ -95,11 +100,15 @@ def state_from_density(
     """Pull the amplitude table out of a density matrix.
 
     The amplitude of a transition is the trace of the density matrix
-    against the transition's representing matrix.
+    against the transition's representing matrix, gathered from the
+    tables: phi(t) = sum_j rho[j, t∘j] over the j that t can follow in
+    the left-regular representation, and phi(t) = rho[s(t), t(t)] in
+    the fundamental one.
     """
     rho = np.asarray(rho, dtype=complex)
-    probe = representation_matrix(AlgebraElement.from_transition(0), g, rep) if g.n_transitions else None
-    dim = probe.dim if probe is not None else 0
+    if rep not in (LEFT_REGULAR, FUNDAMENTAL):
+        raise ValueError(f"unknown representation: {rep!r}")
+    dim = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match representation dimension {dim}")
     if float(np.linalg.norm(rho - rho.conj().T, 2)) > tol:
@@ -110,12 +119,12 @@ def state_from_density(
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density matrix has trace {tr!r}, not 1")
-    phi: dict[int, complex] = {}
-    for t in range(g.n_transitions):
-        m = representation_matrix(AlgebraElement.from_transition(t), g, rep).matrix
-        phi[t] = complex(np.trace(rho @ m))
+    if rep == LEFT_REGULAR:
+        phi = np.where(g.table >= 0, rho[np.arange(dim), g.table], 0).sum(axis=1)
+    else:
+        phi = rho[g.source, g.target]
     _validate_phi(g, phi, max(tol, 1e-9))
-    return StateFn(g, phi, rep, rho, vector)
+    return StateFn(g, dict(enumerate(phi.tolist())), rep, rho, vector)
 
 
 def pure_state(vec: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float = STATE_TOL) -> StateFn:
@@ -129,16 +138,14 @@ def pure_state(vec: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float
 
 def state_from_phi(phi: dict[int, complex], g: Groupoid, tol: float = STATE_TOL) -> StateFn:
     """Build a state from a raw amplitude table, checking positivity."""
-    full: dict[int, complex] = {}
+    full = np.zeros(g.n_transitions, dtype=complex)
     for t, v in phi.items():
         t = int(t)
         if not 0 <= t < g.n_transitions:
             raise ValueError(f"transition id {t} does not belong to this groupoid")
         full[t] = complex(v)
-    for t in range(g.n_transitions):
-        full.setdefault(t, 0j)
     _validate_phi(g, full, tol)
-    return StateFn(g, full, None, None, None)
+    return StateFn(g, dict(enumerate(full.tolist())), None, None, None)
 
 
 def state_from_transition_phases(g: Groupoid, phases: Sequence[complex], tol: float = 1e-12) -> StateFn:
@@ -153,9 +160,10 @@ def state_from_transition_phases(g: Groupoid, phases: Sequence[complex], tol: fl
         raise ValueError("need exactly one phase per transition")
     if np.max(np.abs(np.abs(phases) - 1.0)) > tol:
         raise ValueError("phases must be unimodular")
-    for (a, b), c in g.composition.items():
-        if abs(phases[c] - phases[a] * phases[b]) > tol:
-            raise ValueError(f"phases are not multiplicative on the pair ({a}, {b})")
+    a, b = np.nonzero(g.table >= 0)
+    broken = np.flatnonzero(np.abs(phases[g.table[a, b]] - phases[a] * phases[b]) > tol)
+    if broken.size:
+        raise ValueError(f"phases are not multiplicative on the pair ({a[broken[0]]}, {b[broken[0]]})")
     vec = np.conj(phases) / np.sqrt(g.n_transitions)
     return pure_state(vec, g, LEFT_REGULAR)
 
@@ -182,14 +190,10 @@ def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> co
     interact.
     """
     g = s.groupoid
-    sa = _check_history_set(g, a)
-    sb = _check_history_set(g, b)
-    total = 0j
-    for alpha in sa:
-        for beta in sb:
-            if g.target[alpha] == g.target[beta]:
-                total += s.phi[g.compose(g.inverse(alpha), beta)]
-    return total
+    sa = np.array(list(_check_history_set(g, a)), dtype=np.intp)
+    sb = np.array(list(_check_history_set(g, b)), dtype=np.intp)
+    composite = g.table[g.inverse_table[sa][:, None], sb[None, :]]
+    return complex(s._amplitudes[composite[composite >= 0]].sum())
 
 
 def quantum_measure(s: StateFn, a: Iterable[int]) -> float:
@@ -230,9 +234,9 @@ def interference(s: StateFn, *sets: Iterable[int]) -> float:
 def is_factorizable(s: StateFn, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether the amplitude table is multiplicative over composition."""
     g = s.groupoid
-    worst = 0.0
-    for (a, b), c in g.composition.items():
-        worst = max(worst, abs(s.phi[c] - s.phi[a] * s.phi[b]))
+    phi = s._amplitudes
+    a, b = np.nonzero(g.table >= 0)
+    worst = float(np.max(np.abs(phi[g.table[a, b]] - phi[a] * phi[b]), initial=0.0))
     return worst <= tol, worst
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from groupoidqm import Groupoid, cyclic_group, direct_product, disjoint_union, group_groupoid, pair_groupoid, symmetric_group
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 
@@ -70,3 +73,66 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+# -- random groupoids --------------------------------------------------------
+
+
+def _quaternion_unit_product(u: int, v: int) -> tuple[int, int]:
+    """(sign bit, unit) of u * v for the units 0, 1, 2, 3 = 1, i, j, k."""
+    if u == 0 or v == 0:
+        return 0, u + v
+    if u == v:
+        return 1, 0
+    return (0 if (v - u) % 3 == 1 else 1), 6 - u - v
+
+
+def quaternion_group() -> Groupoid:
+    """Q8 as a one-object groupoid; element 4 * s + u is (-1)^s times 1, i, j or k."""
+    table = []
+    for a in range(8):
+        row = []
+        for b in range(8):
+            sign, unit = _quaternion_unit_product(a % 4, b % 4)
+            row.append(4 * ((a // 4 + b // 4 + sign) % 2) + unit)
+        table.append(row)
+    return group_groupoid(table)
+
+
+GROUPS = {
+    "Z1": lambda: cyclic_group(1),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "Z4": lambda: cyclic_group(4),
+    "S3": lambda: symmetric_group(3),
+    "Q8": quaternion_group,
+}
+GROUP_ORDERS = {name: make().n_transitions for name, make in GROUPS.items()}
+
+
+def permute_transitions(g: Groupoid, perm) -> Groupoid:
+    """The same groupoid with transition ``t`` renamed ``perm[t]``."""
+    p = np.asarray(perm, dtype=np.intp)
+    n = g.n_transitions
+    source, target, inverse = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, np.intp)
+    source[p], target[p], inverse[p] = g.source, g.target, p[g.inverse_table]
+    table = np.full((n, n), -1, dtype=np.intp)
+    table[np.ix_(p, p)] = np.where(g.table >= 0, p[g.table], -1)
+    unit_of = {x: int(p[u]) for x, u in g.unit_of.items()}
+    return Groupoid(g.object_labels, source, target, unit_of, inverse, table)
+
+
+@st.composite
+def random_groupoids(draw, max_transitions: int = 72) -> Groupoid:
+    """Disjoint unions of pair(n) x G, G one of Z1-Z4, S3 and Q8, with permuted transition ids."""
+    parts: list[Groupoid] = []
+    budget = max_transitions
+    while not parts or draw(st.booleans()):
+        shapes = [(n, name) for n in (1, 2, 3) for name in GROUPS if n * n * GROUP_ORDERS[name] <= budget]
+        if not shapes:
+            break
+        n, name = draw(st.sampled_from(shapes))
+        parts.append(direct_product(pair_groupoid(n), GROUPS[name]()))
+        budget -= parts[-1].n_transitions
+    g = parts[0] if len(parts) == 1 else disjoint_union(parts)
+    return permute_transitions(g, draw(st.permutations(range(g.n_transitions))))

@@ -248,6 +248,14 @@ def test_measure_null_transition_id_names_file_and_term(capsys, tmp_path):
     assert str(path) in err and "term 1" in err
 
 
+def test_measure_boolean_transition_id_exits_1(capsys, tmp_path):
+    path = tmp_path / "bool.sets"
+    path.write_text('{"sets": [{"name": "a", "transitions": [true]}]}\n')
+    code, out, err = run(capsys, "measure", QCAT, "--state", SUPERPOSITION, "--sets", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "set 0: transitions must be a list of integer ids" in err
+
+
 # -- evolve --------------------------------------------------------------------------
 
 

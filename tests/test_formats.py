@@ -279,6 +279,11 @@ def test_history_sets_problems(tmp_path):
     path.write_text(json.dumps([["zero"]]))
     with pytest.raises(FormatError, match="integer ids"):
         load_history_sets(str(path))
+    # JSON booleans are not transition ids, although bool is an int subclass
+    for ids in ([True], [0, False]):
+        path.write_text(json.dumps({"sets": [{"name": "a", "transitions": ids}]}))
+        with pytest.raises(FormatError, match="set 0: transitions must be a list of integer ids"):
+            load_history_sets(str(path))
 
 
 def test_operator_roundtrip(tmp_path):
@@ -295,6 +300,15 @@ def test_operator_dim_mismatch(tmp_path):
     path.write_text(json.dumps({"dim": 3, "matrix": [[[1.0, 0.0]]]}))
     with pytest.raises(FormatError, match="declared dim"):
         load_operator(str(path))
+
+
+@pytest.mark.parametrize("dim", [None, "1", 1.0, True], ids=["null", "string", "float", "bool"])
+def test_operator_dim_must_be_an_integer(tmp_path, dim):
+    path = tmp_path / "m.operator"
+    path.write_text(json.dumps({"dim": dim, "matrix": [[[1.0, 0.0]]]}))
+    with pytest.raises(FormatError, match="dim must be an integer") as exc:
+        load_operator(str(path))
+    assert exc.value.origin == str(path)
 
 
 # -- JSON plumbing ---------------------------------------------------------------

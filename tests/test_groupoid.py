@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_groupoids
 from groupoidqm import (
     Groupoid,
     cyclic_group,
@@ -264,7 +265,7 @@ def test_structural_equality_ignores_provenance():
 # -- axioms as properties ----------------------------------------------------
 
 
-groupoid_strategy = st.sampled_from(sample_groupoids())
+groupoid_strategy = random_groupoids()
 
 
 @settings(deadline=None)
