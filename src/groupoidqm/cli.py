@@ -231,7 +231,7 @@ def _theorem_text(report: TheoremReport) -> str:
         ]
         lines.append("\t".join(cells))
     summary = (
-        f"SUMMARY\tmode={report.mode}\tpassed={str(report.passed).lower()}"
+        f"SUMMARY\tmode={report.mode}\tpassed={str(report.passed).lower()}\tvacuous={str(report.vacuous).lower()}"
         f"\tworst_ratio={report.worst_ratio!r}\tworst_offblock={report.worst_offblock!r}"
         f"\tfraction_entangled={report.fraction_entangled!r}\tmax_entropy={report.max_entropy!r}"
     )

@@ -376,8 +376,12 @@ class TheoremReport:
         return hits / len(self.trials)
 
     @property
+    def vacuous(self) -> bool:  # no trial ran, so `passed` holds for want of evidence
+        return not self.trials
+
+    @property
     def passed(self) -> bool:
-        if not self.trials:
+        if self.vacuous:
             return True
         if self.mode == "separability":
             return all(t.ok for t in self.trials)
@@ -396,6 +400,7 @@ class TheoremReport:
             "entropy_threshold": self.entropy_threshold,
             "min_fraction": self.min_fraction,
             "passed": self.passed,
+            "vacuous": self.vacuous,
             "worst_ratio": self.worst_ratio,
             "worst_offblock": self.worst_offblock,
             "max_entropy": self.max_entropy,
@@ -426,7 +431,10 @@ def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _run_trials(n_trials: int, jobs: int, worker) -> list[TrialRecord]:
-    if jobs <= 1:
+    if n_trials < 0 or jobs < 1:
+        flag, need, got = ("trials", "non-negative", n_trials) if n_trials < 0 else ("jobs", "at least 1", jobs)
+        raise ValueError(f"the number of {flag} (--{flag}) must be {need}, got {got}")
+    if jobs == 1:
         return [worker(i) for i in range(n_trials)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, range(n_trials)))

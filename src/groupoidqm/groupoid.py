@@ -451,11 +451,11 @@ def _check_group_table(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
                 break
         if inv[a] < 0:
             raise ValueError(f"element {a} has no two-sided inverse")
+    t = np.asarray(table, dtype=np.intp)
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ValueError(f"multiplication table is not associative at ({a}, {b}, {c})")
+        bad = np.argwhere(t[t[a]] != t[a][t])  # (a b) c against a (b c), in row-major (b, c) order
+        if bad.size:
+            raise ValueError(f"multiplication table is not associative at ({a}, {bad[0, 0]}, {bad[0, 1]})")
     return identity, inv
 
 

@@ -7,10 +7,10 @@ eigenvalue-1 eigenspace of P Q P: one eigendecomposition of the
 symmetrized seed gives it, and the pin-and-square schedule that decides
 which eigenvalues count as 1 runs on the eigenvalues alone.  The join
 is obtained from meets and complements.  All of this works on stacks
-of matrices, so `check_boolean` computes the meets and joins of a whole
-family in a few batched calls.  Whether the resulting lattice is
-Boolean is exactly the classicality question, and
-`classicality_verdict` answers it three independent ways.
+of matrices.  A family generates a Boolean lattice exactly when its
+members are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on
+a generating family of C*(G) decides the classicality question, which
+`classicality_verdict` answers three independent ways.
 """
 
 from __future__ import annotations
@@ -59,13 +59,10 @@ DEFAULT_TOL = 1e-9
 MEET_TOL = 1e-12
 MEET_MAX_ITER = 500
 MEET_PIN_TOL = 1e-12
-# `check_boolean` processes its stacks of matrices this many complex
-# entries (128 KiB) at a time.  About ten chunk-sized temporaries are
-# live at once, so on classicality_verdict(pair_groupoid(5)) this chunk
-# keeps the traced memory peak at 5.6 MiB and takes 1.5 s; twice the
-# chunk takes 1.3 s at 6.7 MiB, half of it 1.9 s.  The classify
-# fixtures, with d <= 12, run equally fast at any chunk from 4096 to
-# 65536 entries.
+# `check_boolean` processes its stacks of matrices this many complex entries
+# (128 KiB) at a time.  classicality_verdict(pair_groupoid(5)) then peaks at
+# 1.4 MiB traced (1.0 at half the chunk, 2.4 at twice it, all 0.05 s); pair(6)
+# and S4 run within 15% of the faster neighbour (2 cores, numpy 2.4).
 CHUNK_ENTRIES = 8192
 
 
@@ -311,10 +308,10 @@ def _eigen_clusters(m: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.n
     return w, v, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _cluster_projection(w: np.ndarray, v: np.ndarray, cluster: slice, rep: str) -> Proposition:
+def _cluster_projection(w: np.ndarray, v: np.ndarray, cluster: slice, rep: str, prefix: str = "") -> Proposition:
     block = v[:, cluster]
     mean = float(np.mean(w[cluster]))
-    return certify_proposition(block @ block.conj().T, rep=rep, label=f"eig[{mean:.4g}]")
+    return certify_proposition(block @ block.conj().T, rep=rep, label=f"{prefix}eig[{mean:.4g}]")
 
 
 def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, rep: str = LEFT_REGULAR) -> list[Proposition]:
@@ -340,31 +337,40 @@ def canonical_propositions(
     seed: int = 42,
     rep: str = LEFT_REGULAR,
 ) -> list[Proposition]:
-    """The proposition family used for lattice verdicts.
+    """A generating family of C*(G), used for lattice verdicts.
 
-    All unit projections, the superposition projection of every
-    connecting transition (one per inverse pair), and ``samples`` random
-    eigenprojections of random self-adjoint algebra elements, each the
-    projection of one eigenvalue cluster (as in `spectral_projections`)
-    drawn uniformly; only the drawn projection is built and certified.
+    In order: units; one superposition per connecting inverse pair; for
+    each non-unit loop s <= s^-1, the eigenclusters but the last (the
+    complement of the rest) of s + s* and i(s - s*), labelled
+    ``sym[s]:eig[λ]`` and ``skew[s]:eig[λ]``; ``samples`` random
+    eigenclusters.  Members within Frobenius distance ``DEFAULT_TOL`` of
+    an earlier one are dropped.  A superposition fails to commute with
+    the units; without connecting transitions the loops span C*(G).
     """
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
     props = [unit_proposition(g, x, rep) for x in range(g.n_objects)]
-    for t in range(g.n_transitions):
-        if g.source[t] != g.target[t] and t <= g.inverse(t):
-            props.append(transition_proposition(g, t, rep))
+    pairs = [t for t in range(g.n_transitions) if t <= g.inverse(t)]
+    props += [transition_proposition(g, t, rep) for t in pairs if g.source[t] != g.target[t]]
+    for s in [t for t in pairs if g.source[t] == g.target[t] and not g.is_unit(t)]:
+        a = AlgebraElement.from_transition(s)
+        for name, part in (("sym", a + involution(a, g)), ("skew", 1j * (a - involution(a, g)))):
+            w, v, clusters = _eigen_clusters(representation_matrix(part, g, rep).matrix, 1e-8)
+            props += [_cluster_projection(w, v, c, rep, f"{name}[{s}]:") for c in clusters[:-1]]
     rng = np.random.default_rng(seed)
     n = g.n_transitions
     for _ in range(samples):
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
+        re, im = rng.standard_normal(n), rng.standard_normal(n)
         elem = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
         sym = 0.5 * (elem + involution(elem, g))
         w, v, clusters = _eigen_clusters(representation_matrix(sym, g, rep).matrix, 1e-8)
         pick = int(rng.integers(len(clusters)))
         props.append(_cluster_projection(w, v, clusters[pick], rep))
-    return props
+    family: list[Proposition] = []
+    for p in props:
+        if all(np.linalg.norm(q.matrix - p.matrix) > DEFAULT_TOL for q in family):
+            family.append(p)
+    return family
 
 
 @dataclass(frozen=True)
@@ -382,6 +388,10 @@ class LawViolation:
 
 @dataclass(frozen=True)
 class LatticeReport:
+    """Laws tested on n propositions.  ``pairs_tested`` is n(n+1)/2; ``triples_tested``
+    counts the compatibility triples (P_i, P_j, P_j′), i < j, evaluated: n(n-1)/2, or under
+    ``fail_fast`` up to the first violation (none if an order law failed first)."""
+
     n_propositions: int
     pairs_tested: int
     triples_tested: int
@@ -434,11 +444,13 @@ def check_boolean(
     fail_fast: bool = False,
     note: str = "",
 ) -> LatticeReport:
-    """Test order laws, orthomodularity and distributivity on a family.
+    """Test the order laws, orthomodularity and pairwise compatibility on a family.
 
-    Pair laws (antisymmetry, orthomodularity) run over ordered pairs,
-    distributivity over all triples with the symmetric pair ordered.
-    Residuals are operator norms of the difference of the two sides.
+    Antisymmetry and orthomodularity run over ordered pairs, transitivity over
+    ordered triples, and compatibility, P_i = (P_i ∧ P_j) ∨ (P_i ∧ P_j′) (the
+    meets are orthogonal, so the join is their sum), over pairs i < j: P_i and
+    P_j commute, and commuting members generate a Boolean lattice
+    (Foulis–Holland).  Residuals are operator norms of the two sides' difference.
     Every residual is computed on stacks of matrices, in chunks of
     ``CHUNK_ENTRIES`` entries; the violations are then collected in the
     order of the loops above, and ``fail_fast`` stops at the first one.
@@ -448,6 +460,8 @@ def check_boolean(
         return LatticeReport(0, 0, 0, (), note)
     mats = np.stack([p.matrix for p in props])
     d = mats.shape[-1]
+    eye = np.eye(d)
+    pairs = n * (n + 1) // 2
     violations: list[LawViolation] = []
 
     def done() -> bool:
@@ -458,17 +472,6 @@ def check_boolean(
     order_res = _chunked_norms(n * n, d, lambda s: mats[oi[s]] @ mats[oj[s]] - mats[oi[s]]).reshape(n, n)
     below = order_res <= tol
 
-    # meets and joins of every pair i <= j; pair[i, j] indexes them either way round
-    pi, pj = np.triu_indices(n)
-    pairs = pi.size
-    pair = np.empty((n, n), dtype=int)
-    pair[pi, pj] = pair[pj, pi] = np.arange(pairs)
-    meets = np.empty((pairs, d, d), dtype=complex)
-    joins = np.empty((pairs, d, d), dtype=complex)
-    for s in _chunks(pairs, d):
-        meets[s] = _meet_m(mats[pi[s]], mats[pj[s]])
-        joins[s] = _join_m(mats[pi[s]], mats[pj[s]])
-
     # pair laws over the ordered pairs i != j with P_i below P_j, in row-major order
     bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
     mutual = below[bj, bi]
@@ -476,7 +479,7 @@ def check_boolean(
     # orthomodularity: Q recovers as P or (Q and not P)
     ortho_res = _chunked_norms(
         bi.size, d,
-        lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], np.eye(d) - mats[bi[s]])),
+        lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], eye - mats[bi[s]])),
     )
     for t in range(bi.size):
         if done():
@@ -496,27 +499,18 @@ def check_boolean(
             break
         violations.append(LawViolation("transitivity", (i, j, k), float(order_res[i, k])))
 
-    # triple t is (i, j, k) with i = t // pairs and (j, k) the pair t % pairs
+    # compatibility of every pair i < j, in row-major order
+    ci, cj = np.triu_indices(n, 1)
     triples = 0
-    laws = ("distributivity-meet-over-join", "distributivity-join-over-meet")
-    for s in _chunks(0 if done() else n * pairs, d):
-        ti, jk = np.divmod(np.arange(s.start, s.stop), pairs)
-        tj, tk = pi[jk], pj[jk]
-        ij, ik = pair[ti, tj], pair[ti, tk]
-        lhs = _meet_m(mats[ti], joins[jk])
-        lhs -= _join_m(meets[ij], meets[ik])
-        meet_over_join = _norms(lhs)
-        lhs = _join_m(mats[ti], meets[jk])
-        lhs -= _meet_m(joins[ij], joins[ik])
-        res = (meet_over_join, _norms(lhs))
+    for s in _chunks(0 if done() else ci.size, d):
+        lhs = mats[ci[s]] - _meet_m(mats[ci[s]], mats[cj[s]])
+        lhs -= _meet_m(mats[ci[s]], eye - mats[cj[s]])
+        res = _norms(lhs)
         triples = s.stop
-        for t in np.flatnonzero((res[0] > tol) | (res[1] > tol)).tolist():
-            operands = (int(ti[t]), int(tj[t]), int(tk[t]))
-            for law, r in zip(laws, res):
-                if r[t] > tol:
-                    violations.append(LawViolation(law, operands, float(r[t])))
-                    if done():
-                        return LatticeReport(n, pairs, s.start + t + 1, tuple(violations), note)
+        for t in np.flatnonzero(res > tol).tolist():
+            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
+            if done():
+                return LatticeReport(n, pairs, s.start + t + 1, tuple(violations), note)
     return LatticeReport(n, pairs, triples, tuple(violations), note)
 
 
@@ -583,15 +577,13 @@ def classicality_verdict(
 ) -> ClassicalityVerdict:
     """Decide classicality three independent ways and cross-check.
 
-    Route one tests Boolean laws on the canonical proposition family;
+    Route one tests the lattice laws, pairwise compatibility among them,
+    on the canonical generating family, and uses no matrix commutator;
     route two inspects connectivity and isotropy commutativity; route
     three measures commutators of the represented basis directly.
     """
     props = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
-    note = (
-        f"canonical family: {g.n_objects} unit projections, "
-        f"superposition projections for connecting transitions, {samples} random eigenprojections"
-    )
+    note = f"canonical family: units, superpositions, loop eigenprojections, {samples} random eigenprojections"
     report = check_boolean(props, tol=tol, fail_fast=fail_fast, note=note)
 
     td = is_totally_disconnected(g)

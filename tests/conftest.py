@@ -99,6 +99,15 @@ def quaternion_group() -> Groupoid:
     return group_groupoid(table)
 
 
+def dihedral_group(n: int) -> Groupoid:
+    """The dihedral group of order 2n as a one-object groupoid; element k + n * m is r^k s^m."""
+    table = []
+    for a in range(2 * n):
+        k, m = a % n, a // n
+        table.append([(k + (-1) ** m * (b % n)) % n + n * ((m + b // n) % 2) for b in range(2 * n)])
+    return group_groupoid(table)
+
+
 GROUPS = {
     "Z1": lambda: cyclic_group(1),
     "Z2": lambda: cyclic_group(2),

@@ -155,9 +155,16 @@ def test_classify_quantum_witness(capsys):
     assert payload["pseudo_classical"] is False
     assert payload["consistent"] is True
     witness = payload["witness"]
-    assert witness["law"].startswith("distributivity")
-    assert len(witness["operands"]) == 3
+    assert witness["law"] == "compatibility"
+    assert len(witness["operands"]) == 2
     assert_allclose(witness["residual"], 1.0, atol=1e-9)
+
+
+def test_classify_cat_s3_is_not_classical(capsys):
+    code, out, _ = run(capsys, "classify", fixture_path("cat_s3.groupoid"))
+    assert code == 0
+    assert out.startswith("classical: false\n")
+    assert "routes consistent:     True" in out
 
 
 # -- lattice --------------------------------------------------------------------
@@ -180,11 +187,9 @@ def test_lattice_quantum_violations(capsys):
     assert payload["propositions"][:2] == ["unit[alive]", "unit[dead]"]
     assert payload["violations"]
     for row in payload["violations"]:
-        assert row["law"] in (
-            "distributivity-meet-over-join",
-            "distributivity-join-over-meet",
-        )
-        assert row["residual"] > 0.1
+        assert row["law"] == "compatibility"
+        assert len(row["operands"]) == 2
+        assert_allclose(row["residual"], 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("command", ["lattice", "classify"])
@@ -344,6 +349,30 @@ def test_theorem_zero_trials(capsys):
     assert code == 0
     header, rows = table(out)
     assert len(rows) == 1 and rows[0][0] == "SUMMARY"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("pair", [(CAT, QCAT), (QCAT, QCAT)], ids=["separability", "entanglement"])
+def test_theorem_vacuous_only_without_trials(capsys, pair, fmt):
+    for trials, vacuous in (("0", True), ("1", False)):
+        code, out, _ = run(capsys, "theorem", *pair, "--trials", trials, "--grid", "0:2:3", "--format", fmt)
+        assert code == 0
+        if fmt == "structured":
+            assert json.loads(out)["vacuous"] is vacuous
+        else:
+            assert f"vacuous={str(vacuous).lower()}" in table(out)[1][-1]
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--trials", "-1"), ("--trials", "-2"), ("--jobs", "0"), ("--jobs", "-3")],
+)
+@pytest.mark.parametrize("pair", [(CAT, QCAT), (QCAT, QCAT)], ids=["separability", "entanglement"])
+def test_theorem_rejects_bad_counts(capsys, pair, flag, value):
+    code, out, err = run(capsys, "theorem", *pair, "--trials", "2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
 
 
 def test_theorem_structured_stable_across_jobs(capsys):

@@ -125,6 +125,46 @@ def test_group_groupoid_rejects_table_without_identity():
         group_groupoid(table)
 
 
+# a loop of order 5: a Latin square with identity 0 in which every element is its own
+# inverse, yet not associative, since the only group of order 5 is cyclic
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def reference_associativity_error(table):
+    """The first non-associative (a, b, c) in lexicographic order, by a plain triple loop."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"multiplication table is not associative at ({a}, {b}, {c})"
+    return None
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.permutations(range(5)), st.booleans())
+def test_group_groupoid_reports_the_first_associativity_failure(perm, loop):
+    base = NON_ASSOCIATIVE_LOOP if loop else [[(a + b) % 5 for b in range(5)] for a in range(5)]
+    table = [[0] * 5 for _ in range(5)]
+    for a in range(5):
+        for b in range(5):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    want = reference_associativity_error(table)
+    if want is None:
+        assert not loop
+        assert group_groupoid(table).n_transitions == 5
+        return
+    with pytest.raises(ValueError) as exc:
+        group_groupoid(table)
+    assert str(exc.value) == want
+
+
 def test_discrete_groupoid_is_all_units():
     g = discrete_groupoid(["up", "down"])
     assert g.n_objects == 2

@@ -31,9 +31,10 @@ from groupoidqm import (
     transition_proposition,
     unit_proposition,
 )
-from groupoidqm.lattice import LawViolation, _meet_m, meet_unsymmetrized
+from groupoidqm.formats import fixture_path, load_groupoid
+from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _meet_m, meet_unsymmetrized
 
-from conftest import random_projection
+from conftest import dihedral_group, quaternion_group, random_groupoids, random_projection
 
 
 def certified(m: np.ndarray):
@@ -242,6 +243,26 @@ def test_canonical_propositions_sampling_is_seeded():
         assert_allclose(x.matrix, y.matrix)
 
 
+def test_canonical_family_names_its_loops_and_drops_duplicates():
+    # Z2's sym cluster at 0 and Z3's sym cluster at 0 are the other component's unit projection
+    g = disjoint_union([cyclic_group(2), cyclic_group(3)])
+    props = canonical_propositions(g, samples=0)
+    labels = [p.label for p in props]
+    assert labels[:5] == ["unit[0:*]", "unit[1:*]", "sym[1]:eig[-2]", "sym[3]:eig[-1]", "skew[3]:eig[-1.732]"]
+    assert len(labels) == 6 and labels[5].startswith("skew[3]:eig[")
+    mats = np.stack([p.matrix for p in props])
+    for i, j in itertools.combinations(range(len(props)), 2):
+        assert np.linalg.norm(mats[i] - mats[j]) > DEFAULT_TOL
+
+
+def test_canonical_family_keeps_the_random_draws():
+    g = symmetric_group(3)
+    fixed = canonical_propositions(g, samples=0)
+    sampled = canonical_propositions(g, samples=3, seed=9)
+    assert [p.label for p in sampled[:len(fixed)]] == [p.label for p in fixed]
+    assert all(p.label.startswith("eig[") for p in sampled[len(fixed):])
+
+
 def test_check_boolean_accepts_commuting_family():
     g = disjoint_union([cyclic_group(2), cyclic_group(3)])
     report = check_boolean(canonical_propositions(g))
@@ -251,12 +272,13 @@ def test_check_boolean_accepts_commuting_family():
 
 
 def test_check_boolean_finds_distributivity_failure():
+    # an incompatible pair (P, Q) is a distributivity failure on (P, Q, not Q)
     g = pair_groupoid(2)
     report = check_boolean(canonical_propositions(g))
     assert not report.is_boolean
     assert report.max_residual == pytest.approx(1.0, abs=1e-9)
-    laws = set(report.by_law())
-    assert laws <= {"distributivity-meet-over-join", "distributivity-join-over-meet"}
+    assert set(report.by_law()) == {"compatibility"}
+    assert all(len(v.operands) == 2 for v in report.violations)
     assert "not Boolean" in report.summary()
 
 
@@ -267,7 +289,7 @@ def test_check_boolean_fail_fast_stops_early():
 
 
 def reference_check_boolean(props, tol=1e-9, fail_fast=False):
-    """Per-pair and per-triple loops with the range-intersection oracle as the meet."""
+    """Per-pair loops with the range-intersection oracle as the meet."""
     mats = [p.matrix for p in props]
     n = len(mats)
     d = mats[0].shape[0]
@@ -301,22 +323,33 @@ def reference_check_boolean(props, tol=1e-9, fail_fast=False):
         if not done() and below[i][j] and below[j][k] and not below[i][k]:
             violations.append(LawViolation("transitivity", (i, j, k), operator_norm(mats[i] @ mats[k] - mats[i])))
     triples = 0
-    for i, j in itertools.product(range(n), repeat=2):
-        for k in range(j, n):
-            if done():
-                break
-            triples += 1
-            res = operator_norm(meet_(mats[i], join_(mats[j], mats[k])) - join_(meet_(mats[i], mats[j]), meet_(mats[i], mats[k])))
-            if res > tol:
-                violations.append(LawViolation("distributivity-meet-over-join", (i, j, k), res))
-                if done():
-                    break
-            res = operator_norm(join_(mats[i], meet_(mats[j], mats[k])) - meet_(join_(mats[i], mats[j]), join_(mats[i], mats[k])))
-            if res > tol:
-                violations.append(LawViolation("distributivity-join-over-meet", (i, j, k), res))
+    for i, j in itertools.combinations(range(n), 2):
         if done():
             break
+        triples += 1
+        res = operator_norm(mats[i] - meet_(mats[i], mats[j]) - meet_(mats[i], eye - mats[j]))
+        if res > tol:
+            violations.append(LawViolation("compatibility", (i, j), res))
     return n * (n + 1) // 2, triples, violations
+
+
+def reference_distributivity_holds(props, tol=1e-9):
+    """Both distributive laws on every triple, by plain loops with the range-intersection meet."""
+    mats = [p.matrix for p in props]
+    eye = np.eye(mats[0].shape[0])
+
+    def meet_(a, b):
+        return range_intersection_projection(a, b)
+
+    def join_(a, b):
+        return eye - range_intersection_projection(eye - a, eye - b)
+
+    for a, b, c in itertools.product(mats, repeat=3):
+        if operator_norm(meet_(a, join_(b, c)) - join_(meet_(a, b), meet_(a, c))) > tol:
+            return False
+        if operator_norm(join_(a, meet_(b, c)) - meet_(join_(a, b), join_(a, c))) > tol:
+            return False
+    return True
 
 
 @settings(deadline=None, max_examples=30)
@@ -342,6 +375,9 @@ def test_check_boolean_matches_reference_loops(dim, commuting, fail_fast, salt):
     assert [(v.law, v.operands) for v in report.violations] == [(v.law, v.operands) for v in violations]
     for got, want in zip(report.violations, violations):
         assert abs(got.residual - want.residual) <= 1e-9
+    # a pairwise compatible family generates a distributive lattice
+    if not reference_distributivity_holds(props):
+        assert not report.is_boolean
 
 
 def test_check_boolean_memory_stays_chunked():
@@ -385,6 +421,37 @@ def test_verdict_union_of_cyclic_groups_is_classical():
     assert v.abelian_isotropy and v.abelian_algebra
     assert v.consistent and v.is_classical
     assert v.witness is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(random_groupoids(max_transitions=24))
+def test_three_routes_agree_on_random_groupoids(g):
+    assert classicality_verdict(g, samples=0).consistent
+
+
+NON_ABELIAN = {
+    "Q8": quaternion_group,
+    "D4": lambda: dihedral_group(4),
+    "S3+S3": lambda: disjoint_union([symmetric_group(3), symmetric_group(3)]),
+    "cat_s3": lambda: load_groupoid(fixture_path("cat_s3.groupoid")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+def test_non_abelian_groups_are_never_called_boolean(name):
+    g = NON_ABELIAN[name]()
+    runs = [(0, 42)] + [(5, seed) for seed in range(20)]
+    for samples, seed in runs:
+        v = classicality_verdict(g, samples=samples, seed=seed)
+        assert v.consistent and not v.boolean_lattice, (samples, seed)
+        assert v.witness.law == "compatibility"
+
+
+def test_symmetric_group_4_is_never_called_boolean():
+    g = symmetric_group(4)
+    for samples, seed in [(0, 42)] + [(5, seed) for seed in range(5)]:
+        v = classicality_verdict(g, samples=samples, seed=seed)
+        assert v.consistent and not v.boolean_lattice, (samples, seed)
 
 
 def test_verdict_symmetric_group_is_pseudo_classical():
