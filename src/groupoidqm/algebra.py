@@ -211,8 +211,24 @@ def representation_matrix(a: AlgebraElement, g: Groupoid, rep: str = LEFT_REGULA
 
 
 def algebra_basis(g: Groupoid, rep: str = LEFT_REGULAR) -> list[Operator]:
-    """Images of all basis transitions in the chosen representation."""
-    return [representation_matrix(AlgebraElement.from_transition(i), g, rep) for i in range(g.n_transitions)]
+    """Images of all basis transitions in the chosen representation.
+
+    One scatter from the tables fills the whole ``(n, d, d)`` stack:
+    left-regular L(t)[t∘j, j] = 1 for every j that t can follow, and
+    fundamental F(t)[target(t), source(t)] = 1.  The operators are the
+    stack's slices.
+    """
+    n = g.n_transitions
+    if rep == LEFT_REGULAR:
+        t, j = np.nonzero(g.table >= 0)
+        stack = np.zeros((n, n, n), dtype=complex)
+        stack[t, g.table[t, j], j] = 1.0
+    elif rep == FUNDAMENTAL:
+        stack = np.zeros((n, g.n_objects, g.n_objects), dtype=complex)
+        stack[np.arange(n), g.target, g.source] = 1.0
+    else:
+        raise ValueError(f"unknown representation: {rep!r}")
+    return [Operator(rep, m) for m in stack]
 
 
 def span_dimension(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:

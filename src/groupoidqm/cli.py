@@ -13,6 +13,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -256,7 +257,9 @@ def cmd_theorem(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="groupoidqm",
         description="Analyze finite groupoids: validation, classicality, measures, dynamics.",

@@ -23,6 +23,7 @@ everywhere downstream.  A loop flagged ``unit`` is its object's unit.
 
 from __future__ import annotations
 
+import itertools
 import json
 from importlib.resources import files
 from typing import Any, Iterable, Sequence
@@ -81,7 +82,12 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
     """Parse and (optionally) axiom-check a groupoid definition.
 
     Structural problems and, when ``check`` is set, axiom violations are
-    all collected and raised together as one FormatError.
+    all collected and raised together as one FormatError.  All
+    ``compose:`` lines are resolved to one ``(m, 3)`` array of ids,
+    from which unknown ids and conflicting pairs are found (each still
+    reported on its own line, in line order) and the composition table
+    is written in one assignment; the map from a pair to the line that
+    declared it is built only when validation fails.
     """
     problems: list[str] = []
     object_labels: list[str] = []
@@ -90,19 +96,24 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
     trans_lines: dict[str, int] = {}
     trans_decl: list[tuple[int, str, str, str, bool]] = []  # line, name, src, tgt, unit
     inverse_decl: list[tuple[int, str, str]] = []
-    compose_decl: list[tuple[int, str, str, str]] = []
+    compose_lines: list[int] = []
+    compose_ids: list[str] = []  # first, second, result of every compose line, flat
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, colon, rest = raw.partition("#")[0].partition(":")
+        if not colon:
+            if key.strip():
+                problems.append(f"line {ln}: expected 'keyword: ...', got {raw.strip()!r}")
             continue
-        if ":" not in line:
-            problems.append(f"line {ln}: expected 'keyword: ...', got {raw.strip()!r}")
-            continue
-        key, rest = line.split(":", 1)
         key = key.strip()
         tokens = rest.split()
-        if key == "objects":
+        if key == "compose":
+            if len(tokens) != 3:
+                problems.append(f"line {ln}: expected 'compose: <first> <second> <result>'")
+                continue
+            compose_lines.append(ln)
+            compose_ids += tokens
+        elif key == "objects":
             if objects_line is not None:
                 problems.append(f"line {ln}: duplicate objects declaration (first on line {objects_line})")
                 continue
@@ -128,11 +139,6 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
                 problems.append(f"line {ln}: expected 'inverse: <id> <id>'")
                 continue
             inverse_decl.append((ln, tokens[0], tokens[1]))
-        elif key == "compose":
-            if len(tokens) != 3:
-                problems.append(f"line {ln}: expected 'compose: <first> <second> <result>'")
-                continue
-            compose_decl.append((ln, tokens[0], tokens[1], tokens[2]))
         else:
             problems.append(f"line {ln}: unknown keyword {key!r}")
 
@@ -181,35 +187,43 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
                 f"line {trans_lines[trans_names[i]]}: transition {trans_names[i]!r} has no declared inverse"
             )
 
-    composition: dict[tuple[int, int], int] = {}
-    compose_lines: dict[tuple[int, int], int] = {}
-    for ln, a, b, c in compose_decl:
-        missing = [n for n in (a, b, c) if n not in tr_index]
-        if missing:
-            problems.append(f"line {ln}: unknown transition id {missing[0]!r}")
-            continue
-        key = (tr_index[a], tr_index[b])
-        if key in composition and composition[key] != tr_index[c]:
-            problems.append(
-                f"line {ln}: conflicting composition for ({a!r}, {b!r}) (first on line {compose_lines[key]})"
-            )
-            continue
-        composition[key] = tr_index[c]
-        compose_lines.setdefault(key, ln)
+    # every compose line as one row (first, second, result) of ids; -1 is an unknown id
+    n = len(trans_names)
+    rows = np.array(list(map(tr_index.get, compose_ids, itertools.repeat(-1))), dtype=np.intp).reshape(-1, 3)
+    unknown = (rows < 0).any(axis=1)
+    # the first line naming each known (first, second) pair fixes its result; a later different one conflicts
+    key = np.where(unknown, -1, rows[:, 0] * n + rows[:, 1])
+    order = np.argsort(key, kind="stable")
+    opens = np.diff(key[order], prepend=-2) != 0
+    first = np.empty_like(order)
+    first[order] = order[opens][np.cumsum(opens) - 1]
+    conflict = ~unknown & (rows[first, 2] != rows[:, 2])
+    for k in np.flatnonzero(unknown | conflict).tolist():
+        ln, (a, b, c) = compose_lines[k], compose_ids[3 * k:3 * k + 3]
+        if unknown[k]:
+            problems.append(f"line {ln}: unknown transition id {next(t for t in (a, b, c) if t not in tr_index)!r}")
+        else:
+            first_ln = compose_lines[first[k]]
+            problems.append(f"line {ln}: conflicting composition for ({a!r}, {b!r}) (first on line {first_ln})")
 
     if problems:
         raise FormatError(origin, problems)
 
-    g = Groupoid(object_labels, source, target, unit_of, inverse, composition)
+    table = np.full((n, n), -1, dtype=np.intp)
+    table[rows[:, 0], rows[:, 1]] = rows[:, 2]
+    g = Groupoid(object_labels, source, target, unit_of, inverse, table)
     if check:
         report = validate(g)
         if not report.is_valid:
+            pair_lines: dict[tuple[int, int], int] = {}
+            for ln, (a, b, _) in zip(compose_lines, rows.tolist()):
+                pair_lines.setdefault((a, b), ln)
             object_kinds = ("missing-unit", "bad-unit", "duplicate-unit", "empty-groupoid")
             for v in report.violations:
                 if v.kind in object_kinds:
                     loc = f" (see line {objects_line})"
-                elif len(v.subject) >= 2 and (v.subject[0], v.subject[1]) in compose_lines:
-                    loc = f" (see line {compose_lines[(v.subject[0], v.subject[1])]})"
+                elif len(v.subject) >= 2 and (v.subject[0], v.subject[1]) in pair_lines:
+                    loc = f" (see line {pair_lines[(v.subject[0], v.subject[1])]})"
                 elif v.subject and 0 <= v.subject[0] < len(trans_names):
                     loc = f" (see line {trans_lines[trans_names[v.subject[0]]]})"
                 else:

@@ -111,7 +111,9 @@ def state_from_density(
     dim = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match representation dimension {dim}")
-    if float(np.linalg.norm(rho - rho.conj().T, 2)) > tol:
+    # the Frobenius norm bounds the spectral norm, so the SVD runs only when it could fail
+    skew = rho - rho.conj().T
+    if float(np.linalg.norm(skew)) > tol and float(np.linalg.norm(skew, 2)) > tol:
         raise ValueError("density matrix is not self-adjoint")
     eigmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     if eigmin < -tol:
@@ -174,12 +176,28 @@ def classical_distribution(s: StateFn) -> np.ndarray:
     return np.array([s.phi[g.unit(x)].real for x in range(g.n_objects)])
 
 
-def _check_history_set(g: Groupoid, a: Iterable[int]) -> frozenset[int]:
-    out = frozenset(int(t) for t in a)
-    for t in out:
-        if not 0 <= t < g.n_transitions:
-            raise ValueError(f"transition id {t} does not belong to this groupoid")
+def _check_history_set(g: Groupoid, a: Iterable[int]) -> np.ndarray:
+    """A history set as a sorted array of distinct transition ids, range-checked."""
+    ids = {int(t) for t in a}
+    out = np.array(sorted(ids), dtype=np.intp)
+    if out.size and (out[0] < 0 or out[-1] >= g.n_transitions):
+        t = next(t for t in ids if not 0 <= t < g.n_transitions)
+        raise ValueError(f"transition id {t} does not belong to this groupoid")
     return out
+
+
+def _functional(s: StateFn, sa: np.ndarray, sb: np.ndarray) -> complex:
+    """D over two checked history sets: one gather of phi(a^-1 ∘ b) over all pairs."""
+    g = s.groupoid
+    composite = g.table[g.inverse_table[sa][:, None], sb[None, :]]
+    return complex(s._amplitudes[composite[composite >= 0]].sum())
+
+
+def _measure(s: StateFn, sa: np.ndarray) -> float:
+    d = _functional(s, sa, sa)
+    if abs(d.imag) > 1e-12 * max(1.0, abs(d)):
+        raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
+    return float(d.real)
 
 
 def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> complex:
@@ -190,18 +208,12 @@ def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> co
     interact.
     """
     g = s.groupoid
-    sa = np.array(list(_check_history_set(g, a)), dtype=np.intp)
-    sb = np.array(list(_check_history_set(g, b)), dtype=np.intp)
-    composite = g.table[g.inverse_table[sa][:, None], sb[None, :]]
-    return complex(s._amplitudes[composite[composite >= 0]].sum())
+    return _functional(s, _check_history_set(g, a), _check_history_set(g, b))
 
 
 def quantum_measure(s: StateFn, a: Iterable[int]) -> float:
     """Diagonal of the pairwise functional; real by conjugation symmetry."""
-    d = decoherence_functional(s, a, a)
-    if abs(d.imag) > 1e-12 * max(1.0, abs(d)):
-        raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
-    return float(d.real)
+    return _measure(s, _check_history_set(s.groupoid, a))
 
 
 def interference(s: StateFn, *sets: Iterable[int]) -> float:
@@ -209,15 +221,18 @@ def interference(s: StateFn, *sets: Iterable[int]) -> float:
 
     Two sets give the pair interference; three sets give the triple
     term, which vanishes identically for states of this pairwise kind.
+    Every measure, the unions' included, is its own gather over the
+    whole set; none is assembled from the parts' numbers.
     """
     g = s.groupoid
     families = [_check_history_set(g, a) for a in sets]
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            if families[i] & families[j]:
-                raise ValueError("interference terms need pairwise disjoint history sets")
-    def mu(*parts: frozenset[int]) -> float:
-        return quantum_measure(s, frozenset().union(*parts))
+    if families and np.bincount(np.concatenate(families), minlength=1).max() > 1:
+        raise ValueError("interference terms need pairwise disjoint history sets")
+    def mu(*parts: np.ndarray) -> float:
+        member = np.zeros(g.n_transitions, dtype=bool)
+        for part in parts:
+            member[part] = True
+        return _measure(s, np.flatnonzero(member))
     if len(families) == 2:
         a, b = families
         return mu(a, b) - mu(a) - mu(b)

@@ -115,6 +115,7 @@ GROUPS = {
     "Z4": lambda: cyclic_group(4),
     "S3": lambda: symmetric_group(3),
     "Q8": quaternion_group,
+    "D4": lambda: dihedral_group(4),
 }
 GROUP_ORDERS = {name: make().n_transitions for name, make in GROUPS.items()}
 
@@ -133,7 +134,7 @@ def permute_transitions(g: Groupoid, perm) -> Groupoid:
 
 @st.composite
 def random_groupoids(draw, max_transitions: int = 72) -> Groupoid:
-    """Disjoint unions of pair(n) x G, G one of Z1-Z4, S3 and Q8, with permuted transition ids."""
+    """Disjoint unions of pair(n) x G, G one of Z1-Z4, S3, Q8 and D4, with permuted transition ids."""
     parts: list[Groupoid] = []
     budget = max_transitions
     while not parts or draw(st.booleans()):
@@ -144,4 +145,16 @@ def random_groupoids(draw, max_transitions: int = 72) -> Groupoid:
         parts.append(direct_product(pair_groupoid(n), GROUPS[name]()))
         budget -= parts[-1].n_transitions
     g = parts[0] if len(parts) == 1 else disjoint_union(parts)
+    return permute_transitions(g, draw(st.permutations(range(g.n_transitions))))
+
+
+@st.composite
+def mixed_chain_groupoids(draw) -> Groupoid:
+    """pair(1) x G ⊔ pair(2) x G' ⊔ pair(3) x G'' with groups of order at most 4, with permuted ids.
+
+    Their middle transitions come in three chain shapes, so validation
+    batches them in at least three groups.
+    """
+    small = [name for name in GROUPS if GROUP_ORDERS[name] <= 4]
+    g = disjoint_union(direct_product(pair_groupoid(n), GROUPS[draw(st.sampled_from(small))]()) for n in (1, 2, 3))
     return permute_transitions(g, draw(st.permutations(range(g.n_transitions))))

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from groupoidqm import pair_groupoid, state_from_phi
-from groupoidqm.cli import main
+from groupoidqm.cli import build_parser, main
 from groupoidqm.formats import dump_state, fixture_path
 
 CAT = fixture_path("cat.groupoid")
@@ -419,6 +419,38 @@ def test_flags_are_rejected_where_they_change_nothing(capsys, command, flag):
     with pytest.raises(SystemExit):
         main([command, *ARGV_WITHOUT_SEED_OR_TOL[command], flag, "3"])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _first_call_bytes(capsys, argv):
+    build_parser.cache_clear()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (["classify", S3, "--format", "structured"], ["--seed", "7"]),
+        (["theorem", QCAT, QCAT, "--trials", "3", "--grid", "0:2:5", "--format", "structured"], ["--jobs", "2", "--seed", "3"]),
+    ],
+)
+def test_cached_parser_does_not_leak_flags(capsys, argv, flags):
+    first = _first_call_bytes(capsys, argv)
+    flagged = run(capsys, *argv, *flags)
+    assert flagged[0] == 0 and flagged[1] != first  # the flags took effect
+    assert run(capsys, *argv) == (0, first, "")
+    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
+
+def test_cached_parser_survives_an_argparse_error(capsys):
+    argv = ["classify", S3, "--format", "structured"]
+    first = _first_call_bytes(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", S3, "--samples", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, *argv) == (0, first, "")
 
 
 def test_bad_bipartition_flag(capsys):

@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import random_groupoids
 from groupoidqm import (
     AlgebraElement,
     FormatError,
+    Groupoid,
     Operator,
     cyclic_group,
     direct_product,
@@ -360,3 +364,165 @@ def test_bundled_states_load_against_their_groupoids():
     assert [name for name, _ in sets] == ["stay", "return", "flip"]
     elem = load_element(fixture_path("hopping.element"))
     assert elem.support == {1, 2}
+
+
+# -- parser diagnostics against the per-line reference --------------------------------
+
+
+def ref_parse_problems(text: str) -> list[str]:
+    """Problems of the earlier per-line parser, which resolved ``compose:`` lines one at a time; [] if it parses."""
+    problems: list[str] = []
+    object_labels: list[str] = []
+    objects_line = None
+    trans_names: list[str] = []
+    trans_lines: dict[str, int] = {}
+    trans_decl, inverse_decl, compose_decl = [], [], []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            problems.append(f"line {ln}: expected 'keyword: ...', got {raw.strip()!r}")
+            continue
+        key, rest = line.split(":", 1)
+        key = key.strip()
+        tokens = rest.split()
+        if key == "objects":
+            if objects_line is not None:
+                problems.append(f"line {ln}: duplicate objects declaration (first on line {objects_line})")
+                continue
+            if not tokens:
+                problems.append(f"line {ln}: objects declaration is empty")
+            if len(set(tokens)) != len(tokens):
+                problems.append(f"line {ln}: duplicate object labels")
+            objects_line = ln
+            object_labels = tokens
+        elif key == "transition":
+            if len(tokens) not in (3, 4) or (len(tokens) == 4 and tokens[3] != "unit"):
+                problems.append(f"line {ln}: expected 'transition: <id> <source> <target> [unit]'")
+                continue
+            name = tokens[0]
+            if name in trans_lines:
+                problems.append(f"line {ln}: duplicate transition id {name!r} (first on line {trans_lines[name]})")
+                continue
+            trans_lines[name] = ln
+            trans_names.append(name)
+            trans_decl.append((ln, name, tokens[1], tokens[2], len(tokens) == 4))
+        elif key == "inverse":
+            if len(tokens) != 2:
+                problems.append(f"line {ln}: expected 'inverse: <id> <id>'")
+                continue
+            inverse_decl.append((ln, tokens[0], tokens[1]))
+        elif key == "compose":
+            if len(tokens) != 3:
+                problems.append(f"line {ln}: expected 'compose: <first> <second> <result>'")
+                continue
+            compose_decl.append((ln, tokens[0], tokens[1], tokens[2]))
+        else:
+            problems.append(f"line {ln}: unknown keyword {key!r}")
+    if objects_line is None:
+        problems.append("missing 'objects:' declaration")
+    if problems:
+        return problems
+    obj_index = {lab: i for i, lab in enumerate(object_labels)}
+    tr_index = {name: i for i, name in enumerate(trans_names)}
+    source, target = [0] * len(trans_names), [0] * len(trans_names)
+    unit_of: dict[int, int] = {}
+    for ln, name, src, tgt, is_unit in trans_decl:
+        i = tr_index[name]
+        if src not in obj_index:
+            problems.append(f"line {ln}: unknown source object {src!r}")
+            continue
+        if tgt not in obj_index:
+            problems.append(f"line {ln}: unknown target object {tgt!r}")
+            continue
+        source[i], target[i] = obj_index[src], obj_index[tgt]
+        if is_unit:
+            if src != tgt:
+                problems.append(f"line {ln}: unit flag on a non-loop transition")
+            elif obj_index[src] in unit_of:
+                problems.append(f"line {ln}: object {src!r} already has a unit")
+            else:
+                unit_of[obj_index[src]] = i
+    inverse = [-1] * len(trans_names)
+    for ln, a, b in inverse_decl:
+        missing = [n for n in (a, b) if n not in tr_index]
+        if missing:
+            problems.append(f"line {ln}: unknown transition id {missing[0]!r}")
+            continue
+        for x, y in ((tr_index[a], tr_index[b]), (tr_index[b], tr_index[a])):
+            if inverse[x] not in (-1, y):
+                problems.append(f"line {ln}: conflicting inverse for {trans_names[x]!r}")
+            inverse[x] = y
+    for i, inv in enumerate(inverse):
+        if inv == -1:
+            problems.append(f"line {trans_lines[trans_names[i]]}: transition {trans_names[i]!r} has no declared inverse")
+    composition: dict[tuple[int, int], int] = {}
+    compose_lines: dict[tuple[int, int], int] = {}
+    for ln, a, b, c in compose_decl:
+        missing = [n for n in (a, b, c) if n not in tr_index]
+        if missing:
+            problems.append(f"line {ln}: unknown transition id {missing[0]!r}")
+            continue
+        key = (tr_index[a], tr_index[b])
+        if key in composition and composition[key] != tr_index[c]:
+            problems.append(f"line {ln}: conflicting composition for ({a!r}, {b!r}) (first on line {compose_lines[key]})")
+            continue
+        composition[key] = tr_index[c]
+        compose_lines.setdefault(key, ln)
+    if problems:
+        return problems
+    g = Groupoid(object_labels, source, target, unit_of, inverse, composition)
+    object_kinds = ("missing-unit", "bad-unit", "duplicate-unit", "empty-groupoid")
+    for v in validate(g).violations:
+        if v.kind in object_kinds:
+            loc = f" (see line {objects_line})"
+        elif len(v.subject) >= 2 and (v.subject[0], v.subject[1]) in compose_lines:
+            loc = f" (see line {compose_lines[(v.subject[0], v.subject[1])]})"
+        elif v.subject and 0 <= v.subject[0] < len(trans_names):
+            loc = f" (see line {trans_lines[trans_names[v.subject[0]]]})"
+        else:
+            loc = ""
+        subject = tuple(trans_names[s] if v.kind not in object_kinds and 0 <= s < len(trans_names) else s for s in v.subject)
+        problems.append(f"[{v.kind}] {subject}: {v.message}{loc}")
+    return problems
+
+
+def _corrupt_compose_lines(data, g) -> str:
+    """Interleave unknown ids, conflicting and agreeing duplicates, changed results and comments among the compose lines."""
+    lines = dump_groupoid_text(g).splitlines()
+    names = [f"t{i}" for i in range(g.n_transitions)]
+    for _ in range(data.draw(st.integers(1, 5))):
+        composes = [k for k, line in enumerate(lines) if line.startswith("compose:")]
+        k = data.draw(st.sampled_from(composes))
+        tokens = lines[k].split()[1:]
+        kind = data.draw(st.sampled_from(["unknown", "conflict", "agree", "result", "comment"]))
+        if kind == "comment":
+            lines[k] += "  # note: x"
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["", "  # aside", "   "])))
+            continue
+        if kind == "unknown":
+            tokens[data.draw(st.integers(0, 2))] = "zz"
+            lines[k] = "compose: " + " ".join(tokens)
+            continue
+        others = [t for t in names if t != tokens[2]]
+        if kind in ("conflict", "result") and others and "zz" not in tokens:
+            tokens[2] = data.draw(st.sampled_from(others))
+        if kind == "result":
+            lines[k] = "compose: " + " ".join(tokens)
+        else:
+            lines.insert(data.draw(st.integers(0, len(lines))), "compose: " + " ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_groupoids(max_transitions=24), st.data())
+def test_compose_diagnostics_match_the_per_line_parser(g, data):
+    text = _corrupt_compose_lines(data, g)
+    want = ref_parse_problems(text)
+    if not want:
+        assert parse_groupoid_text(text) == g
+        return
+    with pytest.raises(FormatError) as err:
+        parse_groupoid_text(text)
+    assert err.value.problems == want

@@ -6,33 +6,38 @@ adjacency lists one transition at a time.  The table engine must give
 the same violations (kind, subject, message and order), the same
 products and representation matrices, and the same states and pairwise
 functional on random groupoids: disjoint unions of pair(n) x G with G
-one of Z1-Z4, S3 and Q8, with permuted transition ids.
+one of Z1-Z4, S3, Q8 and D4, with permuted transition ids.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_groupoids
+from conftest import mixed_chain_groupoids, random_density, random_groupoids
 from groupoidqm import (
     FUNDAMENTAL,
     LEFT_REGULAR,
     AlgebraElement,
     Groupoid,
+    algebra_basis,
     decoherence_functional,
     dump_groupoid_text,
     fundamental,
     left_regular,
     multiply,
+    orbit_decomposition,
     pair_groupoid,
     parse_groupoid_text,
     state_from_density,
     state_from_phi,
     validate,
 )
+from groupoidqm import groupoid as groupoid_module
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -160,13 +165,32 @@ def ref_phi(rho: np.ndarray, g: Ref, rep: str) -> dict[int, complex]:
     }
 
 
+def ref_decoherence_terms(phi: dict[int, complex], g: Ref, sa, sb) -> list[complex]:
+    return [
+        phi[g.compose(g.inverse_table[alpha], beta)]
+        for alpha in sa
+        for beta in sb
+        if g.target[alpha] == g.target[beta]
+    ]
+
+
 def ref_decoherence(phi: dict[int, complex], g: Ref, sa, sb) -> complex:
     total = 0j
-    for alpha in sa:
-        for beta in sb:
-            if g.target[alpha] == g.target[beta]:
-                total += phi[g.compose(g.inverse_table[alpha], beta)]
+    for term in ref_decoherence_terms(phi, g, sa, sb):
+        total += term
     return total
+
+
+def summation_bound(terms: list[complex]) -> float:
+    """A-priori bound on how far two summation orders of ``terms`` can differ.
+
+    Summing k terms in any order is off the exact sum by at most
+    (k - 1)·u·Σ|term| in each of the real and imaginary parts (u = ε/2,
+    the unit roundoff), hence by (k - 1)·u·Σ|term| in modulus too
+    (Minkowski); two orders differ by at most (k - 1)·ε·Σ|term| <
+    k·ε·Σ|term|.
+    """
+    return len(terms) * np.finfo(float).eps * sum(abs(t) for t in terms)
 
 
 def _element(rng: np.random.Generator, n: int) -> AlgebraElement:
@@ -185,8 +209,20 @@ def _violations(g: Groupoid) -> list[tuple]:
 
 
 @SETTINGS
-@given(random_groupoids(), st.data())
+@given(st.one_of(random_groupoids(), mixed_chain_groupoids()), st.data())
 def test_validate_matches_reference_on_one_corrupted_entry(g, data):
+    _check_validate_on_one_corrupted_entry(g, data)
+
+
+@pytest.mark.parametrize("batch", [5, 1])
+@SETTINGS
+@given(st.one_of(random_groupoids(), mixed_chain_groupoids()), st.data())
+def test_validate_matches_reference_in_small_batches(batch, g, data):
+    with mock.patch.object(groupoid_module, "ASSOC_BATCH_ENTRIES", batch):
+        _check_validate_on_one_corrupted_entry(g, data)
+
+
+def _check_validate_on_one_corrupted_entry(g, data):
     assert _violations(g) == ref_validate(Ref(g)) == []
     comp, inverse, unit_of = dict(g.composition), g.inverse_table.copy(), dict(g.unit_of)
     n = g.n_transitions
@@ -211,6 +247,23 @@ def test_validate_matches_reference_on_one_corrupted_entry(g, data):
     assert str(validate(broken)).splitlines()[1:] == [f"  [{k}] {s}: {m}" for k, s, m in got]
 
 
+@pytest.mark.parametrize("batch", [groupoid_module.ASSOC_BATCH_ENTRIES, 5, 1])
+@SETTINGS
+@given(mixed_chain_groupoids(), st.data())
+def test_validate_orders_violations_across_chain_shapes(batch, g, data):
+    # one changed composite per component, so associativity fails at middle transitions of several chain shapes
+    comp = dict(g.composition)
+    for orbit in orbit_decomposition(g).orbits:
+        inside = [t for t in range(g.n_transitions) if g.source[t] in orbit]
+        key = data.draw(st.sampled_from(sorted(k for k in comp if k[0] in inside)))
+        others = [c for c in inside if c != comp[key]]
+        if others:
+            comp[key] = data.draw(st.sampled_from(others))
+    broken = Groupoid(g.object_labels, g.source, g.target, g.unit_of, g.inverse_table, comp)
+    with mock.patch.object(groupoid_module, "ASSOC_BATCH_ENTRIES", batch):
+        assert _violations(broken) == ref_validate(Ref(broken, comp))
+
+
 # -- algebra --------------------------------------------------------------------
 
 
@@ -226,6 +279,21 @@ def test_products_and_representations_match_reference(g, seed):
     # scatters of the same coefficients in the same order: bit-for-bit equal
     assert np.array_equal(left_regular(a, g).matrix, ref_left_regular(a, ref))
     assert np.array_equal(fundamental(a, g).matrix, ref_fundamental(a, ref))
+
+
+def ref_algebra_basis(g: Groupoid, rep: str) -> list:
+    represent = left_regular if rep == LEFT_REGULAR else fundamental
+    return [represent(AlgebraElement.from_transition(t), g) for t in range(g.n_transitions)]
+
+
+@SETTINGS
+@given(random_groupoids(), st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]))
+def test_algebra_basis_matches_per_transition_images(g, rep):
+    got, want = algebra_basis(g, rep), ref_algebra_basis(g, rep)
+    assert len(got) == len(want) == g.n_transitions
+    for a, b in zip(got, want):
+        assert a.rep == b.rep == rep
+        assert a.matrix.dtype == b.matrix.dtype and np.array_equal(a.matrix, b.matrix)
 
 
 # -- states ---------------------------------------------------------------------
@@ -246,7 +314,12 @@ def test_states_and_functional_match_reference(g, seed, rep):
         sb = frozenset(rng.choice(g.n_transitions, size=int(rng.integers(0, g.n_transitions + 1)), replace=False).tolist())
         d = decoherence_functional(s, sa, sb)
         assert type(d) is complex
-        assert abs(d - ref_decoherence(s.phi, ref, sa, sb)) <= 1e-12
+        bound = summation_bound(ref_decoherence_terms(s.phi, ref, sa, sb))
+        assert abs(d - ref_decoherence(s.phi, ref, sa, sb)) <= bound
+        if bound:
+            # negative control: every amplitude off by 1e-9 moves the reference by k·1e-9, far above the bound
+            shifted = {t: v + 1e-9 for t, v in s.phi.items()}
+            assert abs(d - ref_decoherence(shifted, ref, sa, sb)) > bound
 
 
 # -- text format ----------------------------------------------------------------
