@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -62,9 +63,12 @@ def _grid_flag(raw: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must look like start:stop:steps")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("grid must look like start:stop:steps") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid start and stop must be finite numbers, got {raw}")
+    return start, stop, steps
 
 
 def _bipartition_flag(raw: str) -> tuple[int, int]:
@@ -309,7 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_b", help="second factor groupoid file")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="split the trials into at least this many chunks, each evaluated as one stack; more chunks use "
+        "less memory and give the same report (default 1)",
+    )
     p.set_defaults(func=cmd_theorem)
 
     return parser

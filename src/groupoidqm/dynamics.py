@@ -4,8 +4,10 @@ Hamiltonians are self-adjoint algebra elements (or matrices certified
 to lie in the represented algebra).  All dynamics goes through one
 kernel: one eigendecomposition of the Hamiltonian, then one batched
 propagation that yields every grid point at once, and one batched SVD
-for the Schmidt data of a stack of states.  Unitarity, normalization
-and energy conservation are tracked as residuals rather than assumed.
+for the Schmidt data of a stack of states.  The theorem checks run each
+chunk of trials through it as one stack; only mixed starts go one trial
+at a time.  Unitarity, normalization and energy conservation are
+tracked as residuals rather than assumed.
 
 For a direct product whose first factor is totally disconnected, the
 outcome space splits into blocks, one per first-factor outcome, and
@@ -18,9 +20,7 @@ connected the same machinery produces entanglement generically, and
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (0.0, 10.0, 101)
+# Largest trial chunk of the theorem checks, in entries of its (trials, grid
+# points, d) stack of evolved vectors, so that peak memory stays bounded
+# whatever the number of trials.
+TRIAL_CHUNK_ENTRIES = 1 << 16
 
 
 # -- block structure of product outcome spaces ----------------------------
@@ -157,14 +161,16 @@ def hamiltonian_from_matrix(
 def _propagate(w: np.ndarray, v: np.ndarray, times: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Evolve ``start`` to every grid point under H = v diag(w) v^dagger.
 
-    A vector start gives a (T, d) stack of vectors, a density start a
-    (T, d, d) stack of densities.
+    ``w`` and ``v`` may carry leading stack axes, one Hamiltonian per
+    entry.  A vector start (``start.ndim == w.ndim``) gives a (..., T, d)
+    stack of vectors, a density start a (..., T, d, d) stack of densities.
     """
-    ph = np.exp(-1j * np.multiply.outer(times, w))
-    if start.ndim == 1:
-        return (ph * (v.conj().T @ start)) @ v.T
-    r = v.conj().T @ start @ v
-    return v @ (ph[:, :, None] * r * ph.conj()[:, None, :]) @ v.conj().T
+    ph = np.exp(-1j * times[:, None] * w[..., None, :])
+    vh = np.swapaxes(v.conj(), -1, -2)
+    if start.ndim == w.ndim:
+        return (ph * (vh @ start[..., None])[..., None, :, 0]) @ np.swapaxes(v, -1, -2)
+    r = vh @ start @ v
+    return v[..., None, :, :] @ (ph[..., :, None] * r[..., None, :, :] * ph.conj()[..., None, :]) @ vh[..., None, :, :]
 
 
 def heisenberg(h: Hamiltonian, op: Operator | AlgebraElement, t: float) -> Operator:
@@ -245,6 +251,8 @@ class EvolutionTrace:
 
 
 def parse_grid(start: float, stop: float, steps: int) -> np.ndarray:
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"time grid {start}:{stop}:{steps} needs a finite start and stop")
     if steps < 1:
         raise ValueError("time grid needs at least one point")
     return np.linspace(float(start), float(stop), int(steps))
@@ -274,7 +282,7 @@ def evolve(
     w, v = np.linalg.eigh(h.matrix)
     u = (v * np.exp(1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T
     unitarity = np.linalg.norm(u @ u.conj().transpose(0, 2, 1) - np.eye(dim), axis=(1, 2))
-    if unitarity.max() > tol:
+    if not unitarity.max() <= tol:  # NaN fails too
         raise RuntimeError(f"evolution lost unitarity: residual {unitarity.max():.3e}")
 
     vectors = densities = schmidt = None
@@ -301,7 +309,7 @@ def evolve(
         densities = _propagate(w, v, times, rho0)
         norm_res = np.abs(np.trace(densities, axis1=1, axis2=2).real - 1.0)
         energy_res = np.abs(np.einsum("tij,ji->t", densities, h.matrix).real - e0)
-    if norm_res.max() > tol:
+    if not norm_res.max() <= tol:
         raise RuntimeError(f"evolution lost normalization: residual {norm_res.max():.3e}")
     return EvolutionTrace(
         times=times,
@@ -413,43 +421,57 @@ def _describe(g: Groupoid) -> str:
     return f"{g.n_objects} objects, {g.n_transitions} transitions"
 
 
-def _sample_hamiltonian(rng: np.random.Generator, g: Groupoid, rep: str) -> tuple[np.ndarray, int]:
-    n = g.n_transitions
-    k = int(rng.integers(1, n + 1))
-    ids = np.sort(rng.choice(n, size=k, replace=False))
-    re = rng.standard_normal(k)
-    im = rng.standard_normal(k)
-    elem = AlgebraElement({int(i): complex(re[j], im[j]) for j, i in enumerate(ids)})
-    sym = 0.5 * (elem + involution(elem, g))
-    m = representation_matrix(sym, g, rep).matrix
-    return (m + m.conj().T) / 2.0, k
-
-
 def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return vec / np.linalg.norm(vec)
 
 
-def _run_trials(n_trials: int, jobs: int, worker) -> list[TrialRecord]:
+def _chunks(n_trials: int, jobs: int, trial_entries: int) -> list[np.ndarray]:
+    """Trial indices in ``jobs`` contiguous chunks, more if one would exceed ``TRIAL_CHUNK_ENTRIES``; none empty."""
     if n_trials < 0 or jobs < 1:
         flag, need, got = ("trials", "non-negative", n_trials) if n_trials < 0 else ("jobs", "at least 1", jobs)
         raise ValueError(f"the number of {flag} (--{flag}) must be {need}, got {got}")
-    if jobs == 1:
-        return [worker(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(n_trials)))
+    jobs = max(jobs, -(-n_trials // max(1, TRIAL_CHUNK_ENTRIES // trial_entries)))
+    return [c for c in np.array_split(np.arange(n_trials), jobs) if c.size]
 
 
-def _trial_start(seed: int, i: int, product: Groupoid, da: int, db: int) -> tuple:
-    """Trial ``i``'s first draws, in the order both theorem modes share:
-    a Hamiltonian, then a first-factor outcome and a unit vector on its block."""
-    rng = np.random.default_rng([seed, i])
-    h, support = _sample_hamiltonian(rng, product, FUNDAMENTAL)
-    w, v = np.linalg.eigh(h)
-    xa = int(rng.integers(da))
-    psi0 = np.zeros(da * db, dtype=complex)
-    psi0[xa * db:(xa + 1) * db] = _random_unit(rng, db)
-    return rng, support, w, v, psi0
+def _draw_trials(
+    seed: int, indices: np.ndarray, product: Groupoid, da: int, db: int, mixture: bool
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]:
+    """Supports and stacked Hamiltonians, pure starts and (with ``mixture``) mixed starts of trials ``indices``.
+
+    Trial i draws from ``default_rng([seed, i])``: the support size k, k
+    transitions, their real and imaginary coefficients c; a first-factor
+    outcome and a unit vector on its block; with ``mixture``, the block
+    weights and one unit vector per block.  Its Hamiltonian is the image of
+    ½(c + c*): t carries ½(c_t + conj c_{t⁻¹}), the drawn ids summed first.
+    """
+    n_tr, d = product.n_transitions, da * db
+    keys, coeffs, support = [], [], []
+    psi0 = np.zeros((len(indices), d), dtype=complex)
+    rho0 = np.zeros((len(indices), d, d), dtype=complex) if mixture else None
+    for row, i in enumerate(indices.tolist()):
+        rng = np.random.default_rng([seed, i])
+        support.append(int(rng.integers(1, n_tr + 1)))
+        keys.append(row * n_tr + np.sort(rng.choice(n_tr, size=support[-1], replace=False)))
+        coeffs.append(rng.standard_normal(support[-1]) + 1j * rng.standard_normal(support[-1]))
+        xa = int(rng.integers(da))
+        psi0[row, xa * db:(xa + 1) * db] = _random_unit(rng, db)
+        if mixture:
+            weights = rng.random(da) + 0.1
+            for x, wx in enumerate(weights / weights.sum()):
+                vec = _random_unit(rng, db)
+                rho0[row, x * db:(x + 1) * db, x * db:(x + 1) * db] = wx * np.outer(vec, vec.conj())
+    keys, c = np.concatenate(keys), np.concatenate(coeffs)
+    inv = keys - keys % n_tr + product.inverse_table[keys % n_tr]
+    pos = np.minimum(np.searchsorted(keys, inv), keys.size - 1)
+    drawn = keys[pos] == inv
+    sym = c.copy()
+    sym[pos[drawn]] += c[drawn].conj()
+    trial, ids = np.divmod(np.concatenate([keys, inv[~drawn]]), n_tr)
+    m = np.zeros((len(indices), d, d), dtype=complex)
+    np.add.at(m, (trial, product.target[ids], product.source[ids]), 0.5 * np.concatenate([sym, c[~drawn].conj()]))
+    return support, (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0, rho0
 
 
 def separability_theorem_check(
@@ -468,7 +490,9 @@ def separability_theorem_check(
     product as Hamiltonian, then evolves one pure product state and one
     block-diagonal mixture over the grid.  The pure state must keep
     Schmidt ratio at rank one and the mixture must keep all mass on the
-    diagonal blocks.
+    diagonal blocks.  ``jobs`` trial chunks, or more to keep each within
+    ``TRIAL_CHUNK_ENTRIES``, are evaluated one stack at a time: more
+    chunks lower peak memory and leave the report unchanged.
     """
     if not is_totally_disconnected(ga):
         raise ValueError(
@@ -478,29 +502,18 @@ def separability_theorem_check(
     product = direct_product(ga, gb)
     da, db = ga.n_objects, gb.n_objects
     times = parse_grid(*grid)
-    block_slices = [slice(x * db, (x + 1) * db) for x in range(da)]
-    offdiag_mask = np.ones((da * db, da * db), dtype=bool)
-    for s in block_slices:
-        offdiag_mask[s, s] = False
-
-    def worker(i: int) -> TrialRecord:
-        rng, support, w, v, psi0 = _trial_start(seed, i, product, da, db)
-        max_ratio = float(_schmidt(_propagate(w, v, times, psi0), (da, db))[3].max(initial=0.0))
-
-        weights = rng.random(da) + 0.1
-        weights /= weights.sum()
-        rho0 = np.zeros((da * db, da * db), dtype=complex)
-        for x in range(da):
-            vec = np.zeros(da * db, dtype=complex)
-            vec[block_slices[x]] = _random_unit(rng, db)
-            rho0 += weights[x] * np.outer(vec, vec.conj())
-        rhos = _propagate(w, v, times, rho0)
-        max_off = float(np.linalg.norm(rhos[:, offdiag_mask], axis=1).max(initial=0.0))
-
-        ok = max_ratio <= ratio_tol and max_off <= offblock_tol
-        return TrialRecord(i, support_size=support, max_ratio=max_ratio, max_offblock=max_off, ok=ok)
-
-    records = _run_trials(trials, jobs, worker)
+    block = np.arange(da * db) // db
+    offdiag_mask = block[:, None] != block[None, :]
+    records = []
+    for chunk in _chunks(trials, jobs, times.size * da * db):
+        support, h, psi0, rho0 = _draw_trials(seed, chunk, product, da, db, mixture=True)
+        w, v = np.linalg.eigh(h)
+        ratio = _schmidt(_propagate(w, v, times, psi0), (da, db))[3].reshape(len(chunk), -1).max(axis=1)
+        for row, i in enumerate(chunk.tolist()):
+            rhos = _propagate(w[row], v[row], times, rho0[row])
+            max_ratio, max_off = float(ratio[row]), float(np.linalg.norm(rhos[:, offdiag_mask], axis=1).max())
+            ok = max_ratio <= ratio_tol and max_off <= offblock_tol
+            records.append(TrialRecord(i, support[row], max_ratio=max_ratio, max_offblock=max_off, ok=ok))
     return TheoremReport(
         mode="separability",
         factor_a=_describe(ga),
@@ -535,21 +548,16 @@ def entanglement_counterexample(
     product = direct_product(ga, gb)
     da, db = ga.n_objects, gb.n_objects
     times = parse_grid(*grid)
-
-    def worker(i: int) -> TrialRecord:
-        _, support, w, v, psi0 = _trial_start(seed, i, product, da, db)
-        entropy = _schmidt(_propagate(w, v, times, psi0), (da, db))[2]
-        max_entropy = float(entropy.max(initial=0.0))
-        above = np.flatnonzero(entropy > entropy_threshold)
-        return TrialRecord(
-            i,
-            support_size=support,
-            max_entropy=max_entropy,
-            onset_time=float(times[above[0]]) if above.size else None,
-            ok=max_entropy > entropy_threshold,
-        )
-
-    records = _run_trials(trials, jobs, worker)
+    records = []
+    for chunk in _chunks(trials, jobs, times.size * da * db):
+        support, h, psi0, _ = _draw_trials(seed, chunk, product, da, db, mixture=False)
+        w, v = np.linalg.eigh(h)
+        entropy = _schmidt(_propagate(w, v, times, psi0), (da, db))[2].reshape(len(chunk), -1)
+        for row, i in enumerate(chunk.tolist()):
+            max_entropy, above = float(entropy[row].max()), np.flatnonzero(entropy[row] > entropy_threshold)
+            onset = float(times[above[0]]) if above.size else None
+            ok = max_entropy > entropy_threshold
+            records.append(TrialRecord(i, support[row], max_entropy=max_entropy, onset_time=onset, ok=ok))
     return TheoremReport(
         mode="entanglement",
         factor_a=_describe(ga),

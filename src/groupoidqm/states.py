@@ -79,15 +79,27 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
     asymmetric = np.flatnonzero(np.abs(phi[g.inverse_table] - np.conj(phi)) > tol)
     if asymmetric.size:
         raise ValueError(f"amplitudes break conjugation symmetry at transition {asymmetric[0]}")
-    # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD
-    for y in range(g.n_objects):
-        family = np.flatnonzero(g.target == y)
-        composite = g.table[np.ix_(g.inverse_table[family], family)]
-        if (composite < 0).any():
+    # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD;
+    # objects with equally many incoming transitions share one stacked eigvalsh
+    incoming = np.argsort(g.target, kind="stable")
+    sizes = np.bincount(g.target, minlength=g.n_objects)
+    starts = np.cumsum(sizes) - sizes
+    failures = []
+    for size in sorted(set(sizes.tolist()) - {0}):
+        objects = np.flatnonzero(sizes == size)
+        family = incoming[starts[objects, None] + np.arange(size)]
+        composite = g.table[g.inverse_table[family][:, :, None], family[:, None, :]]
+        missing = (composite < 0).any(axis=(1, 2))
+        gram = phi[composite]
+        gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
+        bad = np.flatnonzero(missing | (np.linalg.eigvalsh(gram)[:, 0] < -tol))
+        if bad.size:
+            failures.append((int(objects[bad[0]]), bool(missing[bad[0]])))
+    if failures:
+        y, missing = min(failures)
+        if missing:
             raise ValueError(f"composition table has no entry for a pair into object {g.label(y)}")
-        gram = (phi[composite] + phi[composite].conj().T) / 2.0
-        if family.size and float(np.linalg.eigvalsh(gram)[0]) < -tol:
-            raise ValueError(f"Gram matrix at object {g.label(y)} is not positive semidefinite")
+        raise ValueError(f"Gram matrix at object {g.label(y)} is not positive semidefinite")
 
 
 def state_from_density(

@@ -133,12 +133,16 @@ def permute_transitions(g: Groupoid, perm) -> Groupoid:
 
 
 @st.composite
-def random_groupoids(draw, max_transitions: int = 72) -> Groupoid:
-    """Disjoint unions of pair(n) x G, G one of Z1-Z4, S3, Q8 and D4, with permuted transition ids."""
+def random_groupoids(draw, max_transitions: int = 72, pair_sizes: tuple[int, ...] = (1, 2, 3)) -> Groupoid:
+    """Disjoint unions of pair(n) x G, n in ``pair_sizes``, G one of Z1-Z4, S3, Q8 and D4, with permuted transition ids.
+
+    ``pair_sizes=(1,)`` draws totally disconnected groupoids; leaving 1 out
+    draws groupoids with no totally disconnected part.
+    """
     parts: list[Groupoid] = []
     budget = max_transitions
     while not parts or draw(st.booleans()):
-        shapes = [(n, name) for n in (1, 2, 3) for name in GROUPS if n * n * GROUP_ORDERS[name] <= budget]
+        shapes = [(n, name) for n in pair_sizes for name in GROUPS if n * n * GROUP_ORDERS[name] <= budget]
         if not shapes:
             break
         n, name = draw(st.sampled_from(shapes))

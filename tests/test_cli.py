@@ -319,6 +319,21 @@ def test_evolve_bad_grid_flag(capsys):
     assert "start:stop:steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:nan:3", "nan:1:3", "0:inf:5", "0:-inf:5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", QCAT, "--state", SUPERPOSITION, "--hamiltonian", HOPPING], ["theorem", QCAT, QCAT, "--trials", "2"]],
+    ids=["evolve", "theorem"],
+)
+def test_non_finite_grid_is_rejected(capsys, argv, grid):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--grid", grid])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"grid start and stop must be finite numbers, got {grid}" in captured.err
+
+
 # -- theorem --------------------------------------------------------------------------
 
 
@@ -384,6 +399,15 @@ def test_theorem_structured_stable_across_jobs(capsys):
     payload = json.loads(first)
     assert "jobs" not in payload
     assert len(payload["trials"]) == 4
+    # --jobs counts trial chunks: 1, 2, 3 and more chunks than the 5 trials give the same bytes
+    for pair in ((CAT, QCAT), (QCAT, QCAT)):
+        argv = ["theorem", *pair, "--trials", "5", "--grid", "0:2:5", "--format", "structured"]
+        outputs = {run(capsys, *argv, "--jobs", jobs) for jobs in ("1", "2", "3", "7")}
+        assert len(outputs) == 1
+        code, out, _ = outputs.pop()
+        assert code == 0 and len(json.loads(out)["trials"]) == 5
+        code, out, _ = run(capsys, "theorem", *pair, "--trials", "0", "--jobs", "3", "--format", "structured")
+        assert code == 0 and json.loads(out)["vacuous"] is True
 
 
 def test_theorem_seed_changes_trials(capsys):

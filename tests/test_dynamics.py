@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import random_groupoids
 from groupoidqm import (
     FUNDAMENTAL,
     LEFT_REGULAR,
@@ -25,12 +26,14 @@ from groupoidqm import (
     operator_norm,
     pair_groupoid,
     pure_state,
+    representation_matrix,
     schmidt_diagnostics,
     separability_theorem_check,
     state_from_density,
     symmetric_group,
 )
-from groupoidqm.dynamics import parse_grid
+from groupoidqm import dynamics
+from groupoidqm.dynamics import _draw_trials, _propagate, _schmidt, parse_grid
 
 QUICK_GRID = (0.0, 5.0, 21)
 
@@ -149,6 +152,28 @@ def test_parse_grid_includes_both_endpoints():
     assert grid[0] == 0.0 and grid[-1] == 10.0
     with pytest.raises(ValueError):
         parse_grid(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("start,stop", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_parse_grid_rejects_non_finite_bounds(start, stop):
+    with pytest.raises(ValueError, match=f"time grid {start}:{stop}:3 needs a finite start and stop"):
+        parse_grid(start, stop, 3)
+
+
+def test_evolve_fails_on_a_nan_time():
+    # NaN residuals compare false with every tolerance, so the guards must fail on them explicitly
+    g = pair_groupoid(2)
+    h = hopping_hamiltonian(g)
+    s = pure_state(np.array([1.0, 0.0]), g, FUNDAMENTAL)
+    with pytest.raises(RuntimeError, match="residual nan"):
+        evolve(h, s, np.array([0.0, np.nan]))
+
+
+def test_theorem_checks_reject_non_finite_grids():
+    with pytest.raises(ValueError, match="needs a finite start and stop"):
+        separability_theorem_check(discrete_groupoid(2), pair_groupoid(2), trials=2, grid=(0.0, np.inf, 5))
+    with pytest.raises(ValueError, match="needs a finite start and stop"):
+        entanglement_counterexample(pair_groupoid(2), pair_groupoid(2), trials=2, grid=(0.0, np.nan, 5))
 
 
 def test_evolve_vector_state_conserves_everything():
@@ -367,6 +392,29 @@ def test_reports_are_identical_across_job_counts():
     threaded = separability_theorem_check(cat, pair_groupoid(2), trials=6, grid=QUICK_GRID, jobs=3)
     assert serial.to_dict() == threaded.to_dict()
     assert "jobs" not in serial.to_dict()
+    # --jobs is the number of trial chunks; 7 chunks of 5 trials leaves two empty
+    for check, ga in ((separability_theorem_check, cat), (entanglement_counterexample, pair_groupoid(2))):
+        reports = [check(ga, pair_groupoid(2), trials=5, grid=QUICK_GRID, jobs=j).to_dict() for j in (1, 2, 3, 7)]
+        assert all(r == reports[0] for r in reports)
+        assert [t["index"] for t in reports[0]["trials"]] == [0, 1, 2, 3, 4]
+        assert check(ga, pair_groupoid(2), trials=0, grid=QUICK_GRID, jobs=3).vacuous
+
+
+def test_trial_chunks_are_bounded(monkeypatch):
+    assert [c.tolist() for c in dynamics._chunks(5, 2, 10)] == [[0, 1, 2], [3, 4]]
+    assert [c.size for c in dynamics._chunks(7, 7 + 3, 10)] == [1] * 7
+    monkeypatch.setattr(dynamics, "TRIAL_CHUNK_ENTRIES", 25)
+    assert [c.size for c in dynamics._chunks(5, 1, 10)] == [2, 2, 1]  # at most 25 // 10 trials each
+    assert [c.size for c in dynamics._chunks(5, 1, 100)] == [1] * 5  # never fewer than one trial
+    with pytest.raises(ValueError, match="--trials"):
+        dynamics._chunks(-1, 1, 10)
+    with pytest.raises(ValueError, match="--jobs"):
+        dynamics._chunks(5, 0, 10)
+    # a chunk per trial gives the same report as one chunk for all
+    args = (pair_groupoid(2), pair_groupoid(2))
+    capped = entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
+    monkeypatch.setattr(dynamics, "TRIAL_CHUNK_ENTRIES", 1 << 16)
+    assert capped == entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
 
 
 def test_reports_are_deterministic_across_runs():
@@ -399,3 +447,82 @@ def test_theorem_trials_keep_their_draw_order():
     sep = separability_theorem_check(s3s3, pair_groupoid(3), trials=20, seed=42)
     expected = [(k, True, None) for k in SEPARABILITY_SEED_42_SUPPORTS]
     assert [(t.support_size, t.ok, t.onset_time) for t in sep.trials] == expected
+
+
+def reference_trials(ga, gb, n_trials, grid, seed, mixture):
+    """One trial at a time, with the Hamiltonian built as an algebra element: the reference for the trial stack."""
+    product = direct_product(ga, gb)
+    da, db = ga.n_objects, gb.n_objects
+    n, times = product.n_transitions, parse_grid(*grid)
+    off = np.ones((da * db, da * db), dtype=bool)
+    for x in range(da):
+        off[x * db:(x + 1) * db, x * db:(x + 1) * db] = False
+    out = []
+    for i in range(n_trials):
+        rng = np.random.default_rng([seed, i])
+        k = int(rng.integers(1, n + 1))
+        ids = np.sort(rng.choice(n, size=k, replace=False))
+        re, im = rng.standard_normal(k), rng.standard_normal(k)
+        elem = AlgebraElement({int(t): complex(re[j], im[j]) for j, t in enumerate(ids)})
+        m = representation_matrix(0.5 * (elem + involution(elem, product)), product, FUNDAMENTAL).matrix
+        h = (m + m.conj().T) / 2.0
+        w, v = np.linalg.eigh(h)
+        xa = int(rng.integers(da))
+        psi0 = np.zeros(da * db, dtype=complex)
+        unit = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        psi0[xa * db:(xa + 1) * db] = unit / np.linalg.norm(unit)
+        _, _, entropy, ratio = _schmidt(_propagate(w, v, times, psi0), (da, db))
+        record = {"h": h, "support": k, "ratio": float(ratio.max()), "entropy": entropy}
+        if mixture:
+            weights = rng.random(da) + 0.1
+            weights /= weights.sum()
+            rho0 = np.zeros((da * db, da * db), dtype=complex)
+            for x in range(da):
+                vec = np.zeros(da * db, dtype=complex)
+                unit = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+                vec[x * db:(x + 1) * db] = unit / np.linalg.norm(unit)
+                rho0 += weights[x] * np.outer(vec, vec.conj())
+            rhos = _propagate(w, v, times, rho0)
+            record["offblock"] = float(np.linalg.norm(rhos[:, off], axis=1).max())
+        out.append(record)
+    return out
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.booleans(),
+    st.data(),
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.floats(0.1, 5.0),
+)
+def test_theorem_trials_match_per_trial_reference(separability, data, n_trials, jobs, seed, steps, stop):
+    # separability mode needs a totally disconnected first factor; entanglement mode gets a connected one
+    ga = data.draw(random_groupoids(max_transitions=8, pair_sizes=(1,) if separability else (2, 3)))
+    gb = data.draw(random_groupoids(max_transitions=8))
+    grid = (0.0, stop, steps)
+    ref = reference_trials(ga, gb, n_trials, grid, seed, mixture=separability)
+    if separability:
+        report = separability_theorem_check(ga, gb, trials=n_trials, grid=grid, seed=seed, jobs=jobs)
+    else:
+        report = entanglement_counterexample(ga, gb, trials=n_trials, grid=grid, seed=seed, jobs=jobs)
+    assert len(report.trials) == n_trials
+    times = parse_grid(*grid)
+    for i, (got, want) in enumerate(zip(report.trials, ref)):
+        assert got.index == i and got.support_size == want["support"]
+        if separability:
+            assert got.max_ratio == pytest.approx(want["ratio"], rel=0, abs=1e-12)
+            assert got.max_offblock == pytest.approx(want["offblock"], rel=0, abs=1e-12)
+            assert got.ok == (want["ratio"] <= 1e-9 and want["offblock"] <= 1e-10)
+        else:
+            above = np.flatnonzero(want["entropy"] > 0.1)
+            assert got.max_entropy == pytest.approx(float(want["entropy"].max()), rel=0, abs=1e-12)
+            assert got.onset_time == (float(times[above[0]]) if above.size else None)
+            assert got.ok == bool(above.size)
+    if n_trials:
+        product = direct_product(ga, gb)
+        support, h, _, _ = _draw_trials(seed, np.arange(n_trials), product, ga.n_objects, gb.n_objects, separability)
+        assert support == [r["support"] for r in ref]
+        assert h.tobytes() == np.stack([r["h"] for r in ref]).tobytes()  # bit-equal, signed zeros included

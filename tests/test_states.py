@@ -100,6 +100,21 @@ def test_state_from_phi_checks_positivity():
         state_from_phi({0: 1.0, 1: 2.0}, g)
 
 
+@pytest.mark.parametrize("bad_components,named", [((2,), "2:0"), ((2, 1), "1:0"), ((0, 2), "0:0")])
+def test_positivity_failure_names_the_first_object(bad_components, named):
+    # pair(2) ⊔ pair(3) ⊔ pair(2): the Gram matrices of objects 0, 1, 5 and 6 are 2x2 and share one stacked check
+    g = disjoint_union([pair_groupoid(2), pair_groupoid(3), pair_groupoid(2)])
+    component = np.repeat([0, 1, 2], [2, 3, 2])
+    phi = {int(t): 1.0 / 7.0 for t in (g.unit(x) for x in range(g.n_objects))}
+    for t in np.flatnonzero(g.source != g.target):
+        if component[g.source[t]] in bad_components:
+            phi[int(t)] = 0.5  # beyond sqrt(phi(x) phi(y)) = 1/7
+    with pytest.raises(ValueError, match=f"Gram matrix at object {named} is not positive semidefinite"):
+        state_from_phi(phi, g)
+    good = {t: v for t, v in phi.items() if g.source[t] == g.target[t]}
+    assert state_from_phi(good, g).phi[g.unit(5)] == pytest.approx(1.0 / 7.0)
+
+
 def test_state_from_phi_roundtrips_density_amplitudes(rng):
     g = pair_groupoid(2)
     s = random_state(g, rng)
