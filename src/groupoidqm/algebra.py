@@ -171,6 +171,28 @@ def involution(a: AlgebraElement, g: Groupoid) -> AlgebraElement:
 # -- matrix representations ----------------------------------------------
 
 
+def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Images of m elements as one ``(m, d, d)`` stack.
+
+    Row i of the ``(m, k)`` arrays ``ids`` and ``coeffs`` holds element i's
+    terms, id -1 marking an empty slot; terms meeting on one entry add in
+    term order.
+    """
+    member, term = np.nonzero(ids >= 0)
+    t, c = ids[member, term], coeffs[member, term]
+    if rep == LEFT_REGULAR:
+        rows = g.table[t]
+        k, col = np.nonzero(rows >= 0)
+        out = np.zeros((ids.shape[0], g.n_transitions, g.n_transitions), dtype=complex)
+        np.add.at(out, (member[k], rows[k, col], col), c[k])
+    elif rep == FUNDAMENTAL:
+        out = np.zeros((ids.shape[0], g.n_objects, g.n_objects), dtype=complex)
+        np.add.at(out, (member, g.target[t], g.source[t]), c)
+    else:
+        raise ValueError(f"unknown representation: {rep!r}")
+    return out
+
+
 def left_regular(a: AlgebraElement, g: Groupoid) -> Operator:
     """Act on the transition space: one basis vector per transition.
 
@@ -179,13 +201,7 @@ def left_regular(a: AlgebraElement, g: Groupoid) -> Operator:
     *-preserving.  The element is scattered through its rows of the
     composition table.
     """
-    ids, coeffs = _terms(a, g)
-    n = g.n_transitions
-    rows = g.table[ids]
-    term, col = np.nonzero(rows >= 0)
-    m = np.zeros((n, n), dtype=complex)
-    np.add.at(m, (rows[term, col], col), coeffs[term])
-    return Operator(LEFT_REGULAR, m)
+    return representation_matrix(a, g, LEFT_REGULAR)
 
 
 def fundamental(a: AlgebraElement, g: Groupoid) -> Operator:
@@ -195,19 +211,12 @@ def fundamental(a: AlgebraElement, g: Groupoid) -> Operator:
     loops at an object act alike and isotropy detail is forgotten.
     Terms sharing an entry are summed in coefficient order.
     """
-    ids, coeffs = _terms(a, g)
-    n = g.n_objects
-    m = np.zeros((n, n), dtype=complex)
-    np.add.at(m, (g.target[ids], g.source[ids]), coeffs)
-    return Operator(FUNDAMENTAL, m)
+    return representation_matrix(a, g, FUNDAMENTAL)
 
 
 def representation_matrix(a: AlgebraElement, g: Groupoid, rep: str = LEFT_REGULAR) -> Operator:
-    if rep == LEFT_REGULAR:
-        return left_regular(a, g)
-    if rep == FUNDAMENTAL:
-        return fundamental(a, g)
-    raise ValueError(f"unknown representation: {rep!r}")
+    ids, coeffs = _terms(a, g)
+    return Operator(rep, _represent(g, rep, ids[None], coeffs[None])[0])
 
 
 def algebra_basis(g: Groupoid, rep: str = LEFT_REGULAR) -> list[Operator]:
@@ -219,16 +228,7 @@ def algebra_basis(g: Groupoid, rep: str = LEFT_REGULAR) -> list[Operator]:
     stack's slices.
     """
     n = g.n_transitions
-    if rep == LEFT_REGULAR:
-        t, j = np.nonzero(g.table >= 0)
-        stack = np.zeros((n, n, n), dtype=complex)
-        stack[t, g.table[t, j], j] = 1.0
-    elif rep == FUNDAMENTAL:
-        stack = np.zeros((n, g.n_objects, g.n_objects), dtype=complex)
-        stack[np.arange(n), g.target, g.source] = 1.0
-    else:
-        raise ValueError(f"unknown representation: {rep!r}")
-    return [Operator(rep, m) for m in stack]
+    return [Operator(rep, m) for m in _represent(g, rep, np.arange(n)[:, None], np.ones((n, 1)))]
 
 
 def span_dimension(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:
@@ -247,6 +247,26 @@ def span_dimension(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:
 
 def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Operator norms over the last two axes of a stack."""
+    return np.linalg.norm(x, 2, axis=(-2, -1))
+
+
+def _exceeds(x: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``‖X‖₂ > tol`` for each matrix X of a stack, decided exactly.
+
+    ‖X‖₂ ≤ ‖X‖_F ≤ √r·‖X‖₂ for X of rank at most r, so only a Frobenius norm in
+    (tol, √r·tol], widened by a relative 1e-12 at both ends against rounding,
+    needs the SVD.  A NaN counts as exceeding.
+    """
+    fro = np.linalg.norm(x, axis=(-2, -1))
+    out = np.asarray(~(fro <= tol * (1.0 - 1e-12)))
+    band = out & (fro <= np.sqrt(min(x.shape[-2:])) * tol * (1.0 + 1e-12))
+    if band.any():
+        out[band] = ~(_norms(x[band]) <= tol)
+    return out
 
 
 def commutant(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> list[np.ndarray]:

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="groupoid file")
     p.add_argument("--state", required=True)
     p.add_argument("--hamiltonian", required=True, help="element or matrix file")
-    p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps")
+    p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps, as --grid=-1:0:2 if negative")
     p.add_argument("--bipartition", type=_bipartition_flag, default=None, help="dimA:dimB")
     p.set_defaults(func=cmd_evolve)
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a", help="first factor groupoid file")
     p.add_argument("path_b", help="second factor groupoid file")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps")
+    p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps, as --grid=-1:0:2 if negative")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="split the trials into at least this many chunks, each evaluated as one stack; more chunks use "

@@ -28,6 +28,7 @@ from .algebra import (
     FUNDAMENTAL,
     AlgebraElement,
     Operator,
+    _exceeds,
     algebra_basis,
     involution,
     operator_norm,
@@ -122,9 +123,8 @@ def hamiltonian_from_element(elem: AlgebraElement, g: Groupoid, rep: str = FUNDA
     if not involution(elem, g).isclose(elem, 1e-12):
         raise ValueError("Hamiltonian element must be self-adjoint under the involution")
     m = representation_matrix(elem, g, rep).matrix
-    residual = operator_norm(m - m.conj().T)
-    if residual > 1e-12:
-        raise RuntimeError(f"represented Hamiltonian is not self-adjoint: residual {residual:.3e}")
+    if _exceeds(m - m.conj().T, 1e-12):
+        raise RuntimeError(f"represented Hamiltonian is not self-adjoint: residual {operator_norm(m - m.conj().T):.3e}")
     return Hamiltonian((m + m.conj().T) / 2.0, rep, g, elem)
 
 
@@ -144,7 +144,7 @@ def hamiltonian_from_matrix(
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("Hamiltonian matrix must be square")
     scale = max(1.0, float(np.linalg.norm(m)))
-    if operator_norm(m - m.conj().T) > 1e-10 * scale:
+    if _exceeds(m - m.conj().T, 1e-10 * scale):
         raise ValueError("Hamiltonian matrix is not self-adjoint")
     images = [op.matrix.ravel() for op in algebra_basis(g, rep)]
     stack = np.stack(images, axis=1)

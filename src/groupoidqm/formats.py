@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from importlib.resources import files
 from typing import Any, Iterable, Sequence
 
@@ -286,10 +287,12 @@ def parse_complex_matrix(raw: Any, origin: str, what: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise FormatError(origin, [f"{what}: entries must be [re, im] pairs"]) from None
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+    # a vector is (n, 2), a square matrix (n, n, 2)
+    if not (arr.ndim in (2, 3) and arr.shape[-1] == 2 and arr.shape[0] == arr.shape[arr.ndim - 2]):
         raise FormatError(origin, [f"{what}: expected [re, im] pairs forming a vector or square matrix"])
+    bad = np.argwhere(~np.isfinite(arr).all(axis=-1))
+    if bad.size:
+        raise FormatError(origin, [f"{what}{''.join(f'[{i}]' for i in bad[0])} is not finite"])
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -319,6 +322,8 @@ def _parse_terms(raw: Any, origin: str) -> dict[int, complex]:
             raise FormatError(origin, [f"term {k}: transition_id must be an integer, got {t!r}"])
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise FormatError(origin, [f"term {k}: re and im must be real numbers, got {re!r}, {im!r}"])
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise FormatError(origin, [f"term {k}: transition {t} has a non-finite value, re {re!r}, im {im!r}"])
         if t in out:
             raise FormatError(origin, [f"term {k}: duplicate transition_id {t}"])
         out[t] = complex(re, im)

@@ -7,15 +7,16 @@ eigenvalue-1 eigenspace of P Q P: one eigendecomposition of the
 symmetrized seed gives it, and the pin-and-square schedule that decides
 which eigenvalues count as 1 runs on the eigenvalues alone.  The join
 is obtained from meets and complements.  All of this works on stacks
-of matrices.  A family generates a Boolean lattice exactly when its
-members are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on
-a generating family of C*(G) decides the classicality question, which
+of matrices; each tolerance test is decided exactly by a Frobenius
+bracket around the spectral norm, and reported residuals are spectral
+norms.  A family generates a Boolean lattice exactly when its members
+are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on a
+generating family of C*(G) decides the classicality question, which
 `classicality_verdict` answers three independent ways.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,7 +26,9 @@ from .algebra import (
     LEFT_REGULAR,
     AlgebraElement,
     Operator,
-    algebra_basis,
+    _exceeds,
+    _norms,
+    _represent,
     involution,
     operator_norm,
     representation_matrix,
@@ -117,11 +120,17 @@ def certify_proposition(
         m, rep = op.matrix, op.rep
     else:
         m = np.asarray(op, dtype=complex)
-    ra = operator_norm(m - m.conj().T)
-    ri = operator_norm(m @ m - m)
-    if ra > tol or ri > tol:
-        raise CertificationError(ra, ri)
-    return Proposition(m, rep, ra, ri, label)
+    return _certified(m[None], rep, [label], tol)[0]
+
+
+def _certified(mats: np.ndarray, rep: str, labels: Sequence[str | None], tol: float = DEFAULT_TOL) -> list[Proposition]:
+    """Certify a stack of matrices with one batched norm per residual; the first failure raises."""
+    ra = _norms(mats - _adjoint(mats))
+    ri = _norms(mats @ mats - mats)
+    bad = np.flatnonzero(~((ra <= tol) & (ri <= tol)))
+    if bad.size:
+        raise CertificationError(float(ra[bad[0]]), float(ri[bad[0]]))
+    return [Proposition(m, rep, float(a), float(i), label) for m, a, i, label in zip(mats, ra, ri, labels)]
 
 
 def is_proposition(op: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -148,16 +157,8 @@ def transition_proposition(g: Groupoid, t: int, rep: str = LEFT_REGULAR) -> Prop
     """
     if g.source[t] == g.target[t]:
         raise ValueError("the superposition projection needs a transition between distinct objects")
-    elem = AlgebraElement(
-        {
-            g.unit(g.source[t]): 0.5,
-            g.unit(g.target[t]): 0.5,
-            t: 0.5,
-            g.inverse(t): 0.5,
-        }
-    )
-    op = representation_matrix(elem, g, rep)
-    return certify_proposition(op, label=f"superpose[{t}]")
+    ends = np.array([[g.unit(g.source[t]), g.unit(g.target[t]), t, g.inverse(t)]])
+    return certify_proposition(_represent(g, rep, ends, np.full((1, 4), 0.5 + 0j))[0], rep=rep, label=f"superpose[{t}]")
 
 
 # -- order and operations -------------------------------------------------
@@ -165,14 +166,11 @@ def transition_proposition(g: Groupoid, t: int, rep: str = LEFT_REGULAR) -> Prop
 
 def leq(p: Proposition, q: Proposition, tol: float = DEFAULT_TOL) -> bool:
     """Order by range inclusion: P below Q when P Q = P."""
-    below = operator_norm(p.matrix @ q.matrix - p.matrix) <= tol
-    if below:
-        # the reversed product must then agree as well
-        reversed_residual = operator_norm(q.matrix @ p.matrix - p.matrix)
-        if reversed_residual > 2 * tol:
-            raise RuntimeError(
-                f"order check is one-sided: P Q = P but Q P differs from P by {reversed_residual:.3e}"
-            )
+    below = not _exceeds(p.matrix @ q.matrix - p.matrix, tol)
+    # the reversed product must then agree as well
+    if below and _exceeds(q.matrix @ p.matrix - p.matrix, 2 * tol):
+        residual = operator_norm(q.matrix @ p.matrix - p.matrix)
+        raise RuntimeError(f"order check is one-sided: P Q = P but Q P differs from P by {residual:.3e}")
     return below
 
 
@@ -184,11 +182,6 @@ def complement(p: Proposition) -> Proposition:
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Operator norms over the last two axes of a stack."""
-    return np.linalg.norm(x, 2, axis=(-2, -1))
 
 
 def _meet_m(p: np.ndarray, q: np.ndarray, tol: float = MEET_TOL, max_iter: int = MEET_MAX_ITER) -> np.ndarray:
@@ -293,25 +286,24 @@ def range_intersection_projection(p: Proposition | np.ndarray, q: Proposition | 
     return basis @ basis.conj().T
 
 
-def _eigen_clusters(m: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """Eigenvalues, eigenvectors and eigenvalue clusters of a self-adjoint matrix.
+def _eigen_clusters(m: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
+    """Eigenvalues, eigenvectors (one ``eigh``) and eigenvalue clusters of a stack of self-adjoint matrices.
 
     A cluster ends wherever the gap to the next eigenvalue exceeds
-    ``cluster_tol``; each cluster is a slice of the ascending spectrum.
+    ``cluster_tol``; each cluster is a slice of one ascending spectrum.
     """
-    herm_residual = operator_norm(m - m.conj().T)
-    if herm_residual > 1e-8:
-        raise ValueError(f"operator is not self-adjoint (residual {herm_residual:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    ends = np.flatnonzero(np.diff(w) > cluster_tol) + 1
-    bounds = [0, *ends.tolist(), w.size] if w.size else []
-    return w, v, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    skew = m - _adjoint(m)
+    bad = np.flatnonzero(_exceeds(skew, 1e-8))
+    if bad.size:
+        raise ValueError(f"operator is not self-adjoint (residual {operator_norm(skew[bad[0]]):.3e})")
+    w, v = np.linalg.eigh((m + _adjoint(m)) / 2.0)
+    bounds = [[0, *(np.flatnonzero(np.diff(row) > cluster_tol) + 1).tolist(), row.size] for row in w]
+    return w, v, [[slice(a, b) for a, b in zip(e, e[1:]) if b > a] for e in bounds]
 
 
-def _cluster_projection(w: np.ndarray, v: np.ndarray, cluster: slice, rep: str, prefix: str = "") -> Proposition:
-    block = v[:, cluster]
-    mean = float(np.mean(w[cluster]))
-    return certify_proposition(block @ block.conj().T, rep=rep, label=f"{prefix}eig[{mean:.4g}]")
+def _cluster_projections(w: np.ndarray, v: np.ndarray, clusters: list[slice], prefix: str = "") -> list[tuple]:
+    """(matrix, label) of the projection onto each given eigenvalue cluster of one matrix."""
+    return [(v[:, c] @ v[:, c].conj().T, f"{prefix}eig[{float(np.mean(w[c])):.4g}]") for c in clusters]
 
 
 def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, rep: str = LEFT_REGULAR) -> list[Proposition]:
@@ -324,8 +316,9 @@ def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, r
         m, rep = op.matrix, op.rep
     else:
         m = np.asarray(op, dtype=complex)
-    w, v, clusters = _eigen_clusters(m, cluster_tol)
-    return [_cluster_projection(w, v, c, rep) for c in clusters]
+    w, v, clusters = _eigen_clusters(m[None], cluster_tol)
+    members = _cluster_projections(w[0], v[0], clusters[0])
+    return _certified(np.reshape([p for p, _ in members], (-1, *m.shape)), rep, [label for _, label in members])
 
 
 # -- canonical proposition families and lattice laws ----------------------
@@ -346,31 +339,43 @@ def canonical_propositions(
     eigenclusters.  Members within Frobenius distance ``DEFAULT_TOL`` of
     an earlier one are dropped.  A superposition fails to commute with
     the units; without connecting transitions the loops span C*(G).
+    The deterministic members are one stack with one ``eigh`` for all
+    loops; a random sample's draw depends on its own clusters, so samples
+    run one by one.  The family is certified at once; the first failure raises.
     """
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
-    props = [unit_proposition(g, x, rep) for x in range(g.n_objects)]
     pairs = [t for t in range(g.n_transitions) if t <= g.inverse(t)]
-    props += [transition_proposition(g, t, rep) for t in pairs if g.source[t] != g.target[t]]
-    for s in [t for t in pairs if g.source[t] == g.target[t] and not g.is_unit(t)]:
-        a = AlgebraElement.from_transition(s)
-        for name, part in (("sym", a + involution(a, g)), ("skew", 1j * (a - involution(a, g)))):
-            w, v, clusters = _eigen_clusters(representation_matrix(part, g, rep).matrix, 1e-8)
-            props += [_cluster_projection(w, v, c, rep, f"{name}[{s}]:") for c in clusters[:-1]]
+    links = [t for t in pairs if g.source[t] != g.target[t]]
+    loops = [t for t in pairs if g.source[t] == g.target[t] and not g.is_unit(t)]
+    # one row of term ids and coefficients per element: a unit, half the sum of a
+    # link's endpoint units, itself and its inverse, and s + s* and i(s - s*) per loop
+    terms = [[g.unit(x), -1, -1, -1] for x in range(g.n_objects)]
+    terms += [[g.unit(g.source[t]), g.unit(g.target[t]), t, g.inverse(t)] for t in links]
+    terms += [[s, g.inverse(s), -1, -1] for s in loops for _ in range(2)]
+    coeffs = [[1, 0, 0, 0]] * g.n_objects + [[0.5] * 4] * len(links) + [[1, 1, 0, 0], [1j, -1j, 0, 0]] * len(loops)
+    images = _represent(g, rep, np.array(terms, dtype=np.intp), np.array(coeffs, dtype=complex))
+    head = g.n_objects + len(links)
+    labels = [f"unit[{g.label(x)}]" for x in range(g.n_objects)] + [f"superpose[{t}]" for t in links]
+    members = list(zip(images[:head], labels))
+    w, v, clusters = _eigen_clusters(images[head:], 1e-8)
+    for k, s in enumerate(np.repeat(loops, 2).tolist()):
+        members += _cluster_projections(w[k], v[k], clusters[k][:-1], f"{('sym', 'skew')[k % 2]}[{s}]:")
     rng = np.random.default_rng(seed)
     n = g.n_transitions
     for _ in range(samples):
         re, im = rng.standard_normal(n), rng.standard_normal(n)
         elem = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
         sym = 0.5 * (elem + involution(elem, g))
-        w, v, clusters = _eigen_clusters(representation_matrix(sym, g, rep).matrix, 1e-8)
-        pick = int(rng.integers(len(clusters)))
-        props.append(_cluster_projection(w, v, clusters[pick], rep))
-    family: list[Proposition] = []
-    for p in props:
-        if all(np.linalg.norm(q.matrix - p.matrix) > DEFAULT_TOL for q in family):
-            family.append(p)
-    return family
+        w, v, clusters = _eigen_clusters(representation_matrix(sym, g, rep).matrix[None], 1e-8)
+        pick = int(rng.integers(len(clusters[0])))
+        members += _cluster_projections(w[0], v[0], clusters[0][pick:pick + 1])
+    stack = np.stack([m for m, _ in members])
+    props, keep = _certified(stack, rep, [label for _, label in members]), np.zeros(len(members), dtype=bool)
+    for k in range(len(members)):  # against the kept members, a chunk of them per call
+        keep[k] = all((np.linalg.norm(stack[s][keep[s]] - stack[k], axis=(-2, -1)) > DEFAULT_TOL).all()
+                      for s in _chunks(k, stack.shape[-1]))
+    return [p for p, kept in zip(props, keep) if kept]
 
 
 @dataclass(frozen=True)
@@ -430,11 +435,13 @@ def _chunks(count: int, d: int):
         yield slice(start, min(start + step, count))
 
 
-def _chunked_norms(count: int, d: int, stack) -> np.ndarray:
-    """Operator norms of ``stack(s)`` for index slices ``s`` covering ``range(count)``."""
-    out = np.empty(count)
+def _residuals(count: int, d: int, stack, tol: float) -> np.ndarray:
+    """‖stack(s)‖₂ over index slices s covering ``range(count)`` where it exceeds ``tol``, else 0."""
+    out = np.zeros(count)
     for s in _chunks(count, d):
-        out[s] = _norms(stack(s))
+        x = stack(s)
+        over = _exceeds(x, tol)
+        out[s][over] = _norms(x[over])
     return out
 
 
@@ -451,9 +458,10 @@ def check_boolean(
     meets are orthogonal, so the join is their sum), over pairs i < j: P_i and
     P_j commute, and commuting members generate a Boolean lattice
     (Foulis–Holland).  Residuals are operator norms of the two sides' difference.
-    Every residual is computed on stacks of matrices, in chunks of
-    ``CHUNK_ENTRIES`` entries; the violations are then collected in the
-    order of the loops above, and ``fail_fast`` stops at the first one.
+    Every law runs on stacks in chunks of ``CHUNK_ENTRIES`` entries and is
+    decided by the Frobenius bracket of ``_exceeds``; only the violators'
+    residuals are computed, as exact operator norms.  The violations are
+    collected in the order of the loops above; ``fail_fast`` stops at the first.
     """
     n = len(props)
     if n == 0:
@@ -469,35 +477,34 @@ def check_boolean(
 
     # order: P_i below P_j when P_i P_j = P_i
     oi, oj = np.divmod(np.arange(n * n), n)
-    order_res = _chunked_norms(n * n, d, lambda s: mats[oi[s]] @ mats[oj[s]] - mats[oi[s]]).reshape(n, n)
-    below = order_res <= tol
+    below = ~np.concatenate([_exceeds(mats[oi[s]] @ mats[oj[s]] - mats[oi[s]], tol) for s in _chunks(n * n, d)])
+    below = below.reshape(n, n)
 
     # pair laws over the ordered pairs i != j with P_i below P_j, in row-major order
     bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
     mutual = below[bj, bi]
-    anti_res = _chunked_norms(bi.size, d, lambda s: mats[bi[s]] - mats[bj[s]])
+    anti_res = _residuals(bi.size, d, lambda s: mats[bi[s]] - mats[bj[s]], tol)
     # orthomodularity: Q recovers as P or (Q and not P)
-    ortho_res = _chunked_norms(
+    ortho_res = _residuals(
         bi.size, d,
-        lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], eye - mats[bi[s]])),
+        lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], eye - mats[bi[s]])), tol,
     )
     for t in range(bi.size):
         if done():
             break
         i, j = int(bi[t]), int(bj[t])
-        if mutual[t] and anti_res[t] > tol:
+        if mutual[t] and not anti_res[t] <= tol:
             violations.append(LawViolation("antisymmetry", (i, j), float(anti_res[t])))
-        elif ortho_res[t] > tol:
+        elif not ortho_res[t] <= tol:
             violations.append(LawViolation("orthomodularity", (i, j), float(ortho_res[t])))
 
     distinct = np.ones((n, n, n), dtype=bool)
     idx = np.arange(n)
     distinct[idx, idx, :] = distinct[idx, :, idx] = distinct[:, idx, idx] = False
     broken = below[:, :, None] & below[None, :, :] & ~below[:, None, :] & distinct
-    for i, j, k in np.argwhere(broken).tolist():
-        if done():
-            break
-        violations.append(LawViolation("transitivity", (i, j, k), float(order_res[i, k])))
+    tri = np.argwhere(broken)[: 0 if done() else 1 if fail_fast else None]
+    tri_res = _residuals(len(tri), d, lambda s: mats[tri[s, 0]] @ mats[tri[s, 2]] - mats[tri[s, 0]], tol)
+    violations += [LawViolation("transitivity", (i, j, k), float(r)) for (i, j, k), r in zip(tri.tolist(), tri_res)]
 
     # compatibility of every pair i < j, in row-major order
     ci, cj = np.triu_indices(n, 1)
@@ -505,10 +512,10 @@ def check_boolean(
     for s in _chunks(0 if done() else ci.size, d):
         lhs = mats[ci[s]] - _meet_m(mats[ci[s]], mats[cj[s]])
         lhs -= _meet_m(mats[ci[s]], eye - mats[cj[s]])
-        res = _norms(lhs)
+        over = np.flatnonzero(_exceeds(lhs, tol))
         triples = s.stop
-        for t in np.flatnonzero(res > tol).tolist():
-            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
+        for t, r in zip(over.tolist(), _norms(lhs[over[:1] if fail_fast else over])):
+            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(r)))
             if done():
                 return LatticeReport(n, pairs, s.start + t + 1, tuple(violations), note)
     return LatticeReport(n, pairs, triples, tuple(violations), note)
@@ -589,13 +596,13 @@ def classicality_verdict(
     td = is_totally_disconnected(g)
     ab_iso = has_abelian_isotropy(g)
 
-    images = [op.matrix for op in algebra_basis(g, rep)]
-    comm_residual = 0.0
-    for a, b in itertools.combinations(images, 2):
-        comm_residual = max(comm_residual, operator_norm(a @ b - b @ a))
-        if comm_residual > 1e-10:
-            break
-    abelian_alg = comm_residual <= 1e-10
+    # route three: commutators of basis pairs i < j, a chunk at a time, up to the first failing chunk
+    images = _represent(g, rep, np.arange(g.n_transitions)[:, None], np.ones((g.n_transitions, 1)))
+    ci, cj = np.triu_indices(len(images), 1)
+    abelian_alg = not any(
+        _exceeds(images[ci[s]] @ images[cj[s]] - images[cj[s]] @ images[ci[s]], 1e-10).any()
+        for s in _chunks(ci.size, images.shape[-1])
+    )
 
     witness = report.violations[0] if report.violations else None
     return ClassicalityVerdict(

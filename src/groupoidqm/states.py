@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement
+from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, _exceeds
 from .groupoid import Groupoid
 
 __all__ = [
@@ -68,15 +68,15 @@ class StateFn:
 
 
 def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
-    """Check an amplitude array indexed by transition id."""
+    """Check an amplitude array indexed by transition id; a NaN fails every check it meets."""
     units = phi[[g.unit(x) for x in range(g.n_objects)]].tolist()
     for x, u in enumerate(units):
-        if abs(u.imag) > tol or u.real < -tol:
+        if not (abs(u.imag) <= tol and u.real >= -tol):
             raise ValueError(f"unit amplitude at object {g.label(x)} is not a probability: {u:.3e}")
     total = sum(u.real for u in units)
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"unit amplitudes sum to {total!r}, not 1")
-    asymmetric = np.flatnonzero(np.abs(phi[g.inverse_table] - np.conj(phi)) > tol)
+    asymmetric = np.flatnonzero(~(np.abs(phi[g.inverse_table] - np.conj(phi)) <= tol))
     if asymmetric.size:
         raise ValueError(f"amplitudes break conjugation symmetry at transition {asymmetric[0]}")
     # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD;
@@ -92,7 +92,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
         missing = (composite < 0).any(axis=(1, 2))
         gram = phi[composite]
         gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
-        bad = np.flatnonzero(missing | (np.linalg.eigvalsh(gram)[:, 0] < -tol))
+        bad = np.flatnonzero(missing | ~(np.linalg.eigvalsh(gram)[:, 0] >= -tol))
         if bad.size:
             failures.append((int(objects[bad[0]]), bool(missing[bad[0]])))
     if failures:
@@ -123,15 +123,13 @@ def state_from_density(
     dim = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match representation dimension {dim}")
-    # the Frobenius norm bounds the spectral norm, so the SVD runs only when it could fail
-    skew = rho - rho.conj().T
-    if float(np.linalg.norm(skew)) > tol and float(np.linalg.norm(skew, 2)) > tol:
+    if _exceeds(rho - rho.conj().T, tol):
         raise ValueError("density matrix is not self-adjoint")
     eigmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if eigmin < -tol:
+    if not eigmin >= -tol:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {eigmin:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix has trace {tr!r}, not 1")
     if rep == LEFT_REGULAR:
         phi = np.where(g.table >= 0, rho[np.arange(dim), g.table], 0).sum(axis=1)
@@ -144,7 +142,7 @@ def state_from_density(
 def pure_state(vec: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float = STATE_TOL) -> StateFn:
     vec = np.asarray(vec, dtype=complex).ravel()
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"state vector has norm {norm!r}, not 1")
     rho = np.outer(vec, vec.conj())
     return state_from_density(rho, g, rep, tol, vector=vec)
@@ -172,10 +170,10 @@ def state_from_transition_phases(g: Groupoid, phases: Sequence[complex], tol: fl
     phases = np.asarray(phases, dtype=complex)
     if phases.shape != (g.n_transitions,):
         raise ValueError("need exactly one phase per transition")
-    if np.max(np.abs(np.abs(phases) - 1.0)) > tol:
+    if not np.max(np.abs(np.abs(phases) - 1.0)) <= tol:
         raise ValueError("phases must be unimodular")
     a, b = np.nonzero(g.table >= 0)
-    broken = np.flatnonzero(np.abs(phases[g.table[a, b]] - phases[a] * phases[b]) > tol)
+    broken = np.flatnonzero(~(np.abs(phases[g.table[a, b]] - phases[a] * phases[b]) <= tol))
     if broken.size:
         raise ValueError(f"phases are not multiplicative on the pair ({a[broken[0]]}, {b[broken[0]]})")
     vec = np.conj(phases) / np.sqrt(g.n_transitions)
@@ -207,7 +205,7 @@ def _functional(s: StateFn, sa: np.ndarray, sb: np.ndarray) -> complex:
 
 def _measure(s: StateFn, sa: np.ndarray) -> float:
     d = _functional(s, sa, sa)
-    if abs(d.imag) > 1e-12 * max(1.0, abs(d)):
+    if not abs(d.imag) <= 1e-12 * max(1.0, abs(d)):
         raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
     return float(d.real)
 

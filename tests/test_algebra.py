@@ -32,6 +32,7 @@ from groupoidqm import (
     tensor_embed,
     unit_element,
 )
+from groupoidqm.algebra import _exceeds, _norms
 
 GROUPOIDS = [
     pair_groupoid(2),
@@ -190,6 +191,42 @@ def test_algebra_basis_matches_transition_count():
 def test_operator_norm_is_the_largest_singular_value():
     m = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert operator_norm(m) == pytest.approx(2.0)
+
+
+def _scaled(m: np.ndarray, fro: float) -> np.ndarray:
+    return m * (fro / np.linalg.norm(m))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from([1e-12, 1e-9, 1e-3, 1.0, 7.5]),
+    st.integers(0, 2**16),
+)
+def test_exceeds_matches_the_spectral_norm(d, k, tol, salt):
+    rng = np.random.default_rng([d, k, salt])
+    x = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    # spectral norms spread over [tol/2, 2·√d·tol], across the whole Frobenius band
+    x *= (rng.uniform(0.5, 2.0 * np.sqrt(d), size=k) * tol / _norms(x))[:, None, None]
+    # the extremes, with their Frobenius norm at either edge of the band (tol, √d·tol]:
+    # rank one has ‖·‖₂ = ‖·‖_F, a scaled unitary ‖·‖_F = √d·‖·‖₂
+    u = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    rank_one = np.outer(u[:, 0], u[:, 1].conj())
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    edges = [
+        _scaled(m, edge * tol * (1.0 + nudge))
+        for m in (rank_one, unitary)
+        for edge in (1.0, np.sqrt(d))
+        for nudge in (-1e-11, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-11)
+    ]
+    stack = np.concatenate([x, edges])
+    assert np.array_equal(_exceeds(stack, tol), _norms(stack) > tol)
+    assert bool(_exceeds(stack[0], tol)) == bool(_norms(stack[0]) > tol)
+    # a NaN anywhere exceeds every tolerance
+    stack[::2, 0, 0] = np.nan
+    assert _exceeds(stack, tol)[::2].all()
+    assert np.array_equal(_exceeds(stack, tol)[1::2], _norms(stack[1::2]) > tol)
 
 
 # -- span and commutant -------------------------------------------------------

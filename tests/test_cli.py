@@ -261,7 +261,45 @@ def test_measure_boolean_transition_id_exits_1(capsys, tmp_path):
     assert str(path) in err and "set 0: transitions must be a list of integer ids" in err
 
 
+@pytest.mark.parametrize(
+    "state, where",
+    [
+        ('{"phi": [{"transition_id": 0, "re": NaN, "im": 0}, {"transition_id": 1, "re": 0.5, "im": 0}]}',
+         "term 0: transition 0 has a non-finite value"),
+        ('{"phi": [{"transition_id": 0, "re": 1.0, "im": 0}, {"transition_id": 1, "re": 0, "im": Infinity}]}',
+         "term 1: transition 1 has a non-finite value"),
+        ('{"vector": [[1, 0], [NaN, 0]]}', "vector[1] is not finite"),
+        ('{"rep": "fundamental", "density": [[[1, 0], [0, 0]], [[0, -Infinity], [0, 0]]]}',
+         "density[1][0] is not finite"),
+    ],
+    ids=["phi-nan", "phi-inf", "vector-nan", "density-inf"],
+)
+def test_measure_rejects_non_finite_state_entries(capsys, tmp_path, state, where):
+    path = tmp_path / "bad.state"
+    path.write_text(state + "\n")
+    sets = tmp_path / "ab.sets"
+    sets.write_text('{"sets": [{"name": "A", "transitions": [0]}, {"name": "B", "transitions": [1]}]}\n')
+    code, out, err = run(capsys, "measure", CAT, "--state", str(path), "--sets", str(sets))
+    assert code == 1 and out == ""
+    assert str(path) in err and where in err
+
+
+def test_evolve_rejects_a_non_finite_hamiltonian_coefficient(capsys, tmp_path):
+    path = tmp_path / "nan.element"
+    path.write_text('{"terms": [{"transition_id": 1, "re": 1.0}, {"transition_id": 2, "re": NaN}]}\n')
+    code, out, err = run(capsys, "evolve", QCAT, "--state", SUPERPOSITION, "--hamiltonian", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "term 1: transition 2 has a non-finite value" in err
+
+
 # -- evolve --------------------------------------------------------------------------
+
+
+def test_evolve_takes_a_negative_grid_start_after_an_equals_sign(capsys):
+    code, out, _ = run(capsys, "evolve", QCAT, "--state", DIAGONAL, "--hamiltonian", HOPPING, "--grid=-1:0:2")
+    assert code == 0
+    _, rows = table(out)
+    assert [float(r[0]) for r in rows] == [-1.0, 0.0]
 
 
 def test_evolve_density_table(capsys):

@@ -217,6 +217,10 @@ def test_state_file_problems(tmp_path):
         ({"phi": [{"transition_id": 1.5, "re": 1.0}]}, "term 0: transition_id must be an integer"),
         ({"phi": [{"transition_id": True, "re": 1.0}]}, "term 0: transition_id must be an integer"),
         ({"phi": [{"transition_id": 0, "re": "abc"}]}, "term 0: re and im must be real numbers"),
+        ({"phi": [{"transition_id": 0, "re": 1.0}, {"transition_id": 1, "re": float("nan")}]},
+         "term 1: transition 1 has a non-finite value"),
+        ({"vector": [[1.0, 0.0], [0.0, float("inf")], [0.0, 0.0], [0.0, 0.0]]}, r"vector\[1\] is not finite"),
+        ({"density": [[[0.5, 0.0], [float("nan"), 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}, r"density\[0\]\[1\] is not finite"),
     ]
     for payload, fragment in cases:
         path = tmp_path / "bad.state"
@@ -250,6 +254,8 @@ def test_element_duplicate_ids_rejected(tmp_path):
         ({"transition_id": 1.5}, "transition_id must be an integer"),
         ({"transition_id": True}, "transition_id must be an integer"),
         ({"transition_id": 2, "re": "abc"}, "re and im must be real numbers"),
+        ({"transition_id": 2, "re": float("nan")}, "transition 2 has a non-finite value"),
+        ({"transition_id": 3, "im": float("-inf")}, "transition 3 has a non-finite value"),
     ],
 )
 def test_element_terms_are_typed(tmp_path, term, fragment):

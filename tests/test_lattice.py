@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from groupoidqm import (
     CertificationError,
+    algebra_basis,
     ConvergenceError,
     canonical_propositions,
     certify_proposition,
@@ -32,7 +33,8 @@ from groupoidqm import (
     unit_proposition,
 )
 from groupoidqm.formats import fixture_path, load_groupoid
-from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _meet_m, meet_unsymmetrized
+from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, involution
+from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _chunks, _join_m, _meet_m, meet_unsymmetrized
 
 from conftest import dihedral_group, quaternion_group, random_groupoids, random_projection
 
@@ -378,6 +380,152 @@ def test_check_boolean_matches_reference_loops(dim, commuting, fail_fast, salt):
     # a pairwise compatible family generates a distributive lattice
     if not reference_distributivity_holds(props):
         assert not report.is_boolean
+
+
+# -- the per-member, per-norm route the stacked one replaced ----------------------
+
+
+def _represented(terms: dict, g, rep: str) -> np.ndarray:
+    """One element's image, scattered term by term in coefficient order."""
+    a = AlgebraElement(terms)
+    ids = np.array(list(a.coeffs), dtype=np.intp)
+    coeffs = np.array(list(a.coeffs.values()), dtype=complex)
+    if rep == FUNDAMENTAL:
+        m = np.zeros((g.n_objects, g.n_objects), dtype=complex)
+        np.add.at(m, (g.target[ids], g.source[ids]), coeffs)
+        return m
+    rows = g.table[ids]
+    term, col = np.nonzero(rows >= 0)
+    m = np.zeros((g.n_transitions, g.n_transitions), dtype=complex)
+    np.add.at(m, (rows[term, col], col), coeffs[term])
+    return m
+
+
+def reference_canonical_family(g, samples, seed, rep):
+    """(matrix, label, residual_adjoint, residual_idempotent) per kept member, one member at a time."""
+    members = []
+
+    def certify(m, label):
+        ra, ri = operator_norm(m - m.conj().T), operator_norm(m @ m - m)
+        assert ra <= DEFAULT_TOL and ri <= DEFAULT_TOL
+        members.append((m, label, ra, ri))
+
+    def clusters(m):
+        assert operator_norm(m - m.conj().T) <= 1e-8
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        ends = np.flatnonzero(np.diff(w) > 1e-8) + 1
+        bounds = [0, *ends.tolist(), w.size]
+        return w, v, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def project(w, v, c, prefix=""):
+        block = v[:, c]
+        certify(block @ block.conj().T, f"{prefix}eig[{float(np.mean(w[c])):.4g}]")
+
+    for x in range(g.n_objects):
+        certify(_represented({g.unit(x): 1.0}, g, rep), f"unit[{g.label(x)}]")
+    pairs = [t for t in range(g.n_transitions) if t <= g.inverse(t)]
+    for t in pairs:
+        if g.source[t] != g.target[t]:
+            ends = {g.unit(g.source[t]): 0.5, g.unit(g.target[t]): 0.5, t: 0.5, g.inverse(t): 0.5}
+            certify(_represented(ends, g, rep), f"superpose[{t}]")
+    for s in [t for t in pairs if g.source[t] == g.target[t] and not g.is_unit(t)]:
+        a = AlgebraElement.from_transition(s)
+        for name, part in (("sym", a + involution(a, g)), ("skew", 1j * (a - involution(a, g)))):
+            w, v, cs = clusters(_represented(part.coeffs, g, rep))
+            for c in cs[:-1]:
+                project(w, v, c, f"{name}[{s}]:")
+    rng = np.random.default_rng(seed)
+    n = g.n_transitions
+    for _ in range(samples):
+        re, im = rng.standard_normal(n), rng.standard_normal(n)
+        elem = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
+        w, v, cs = clusters(_represented((0.5 * (elem + involution(elem, g))).coeffs, g, rep))
+        project(w, v, cs[int(rng.integers(len(cs)))])
+    family = []
+    for member in members:
+        if all(np.linalg.norm(kept[0] - member[0]) > DEFAULT_TOL for kept in family):
+            family.append(member)
+    return family
+
+
+def reference_stacked_check_boolean(props, tol, fail_fast):
+    """Every residual an operator norm over the stacks, then the violations collected in loop order."""
+    n = len(props)
+    mats = np.stack([p.matrix for p in props])
+    d = mats.shape[-1]
+    eye = np.eye(d)
+    violations = []
+
+    def norms(count, stack):
+        out = np.empty(count)
+        for s in _chunks(count, d):
+            out[s] = np.linalg.norm(stack(s), 2, axis=(-2, -1))
+        return out
+
+    def done():
+        return fail_fast and bool(violations)
+
+    oi, oj = np.divmod(np.arange(n * n), n)
+    order_res = norms(n * n, lambda s: mats[oi[s]] @ mats[oj[s]] - mats[oi[s]]).reshape(n, n)
+    below = order_res <= tol
+    bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
+    anti_res = norms(bi.size, lambda s: mats[bi[s]] - mats[bj[s]])
+    ortho_res = norms(bi.size, lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], eye - mats[bi[s]])))
+    for t in range(bi.size):
+        if done():
+            break
+        i, j = int(bi[t]), int(bj[t])
+        if below[j, i] and anti_res[t] > tol:
+            violations.append(LawViolation("antisymmetry", (i, j), float(anti_res[t])))
+        elif ortho_res[t] > tol:
+            violations.append(LawViolation("orthomodularity", (i, j), float(ortho_res[t])))
+    for i, j, k in itertools.permutations(range(n), 3):
+        if not done() and below[i, j] and below[j, k] and not below[i, k]:
+            violations.append(LawViolation("transitivity", (i, j, k), float(order_res[i, k])))
+    ci, cj = np.triu_indices(n, 1)
+    triples = 0
+    for s in _chunks(0 if done() else ci.size, d):
+        lhs = mats[ci[s]] - _meet_m(mats[ci[s]], mats[cj[s]])
+        lhs -= _meet_m(mats[ci[s]], eye - mats[cj[s]])
+        res = np.linalg.norm(lhs, 2, axis=(-2, -1))
+        triples = s.stop
+        for t in np.flatnonzero(res > tol).tolist():
+            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
+            if done():
+                return n * (n + 1) // 2, s.start + t + 1, violations
+    return n * (n + 1) // 2, triples, violations
+
+
+def reference_abelian_algebra(g, rep):
+    images = [op.matrix for op in algebra_basis(g, rep)]
+    return all(operator_norm(a @ b - b @ a) <= 1e-10 for a, b in itertools.combinations(images, 2))
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    random_groupoids(max_transitions=18),
+    st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_stacked_lattice_route_equals_the_per_member_route(g, rep, samples, seed):
+    props = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
+    family = reference_canonical_family(g, samples, seed, rep)
+    assert [p.label for p in props] == [label for _, label, _, _ in family]
+    for p, (m, _, ra, ri) in zip(props, family):
+        assert p.matrix.tobytes() == m.tobytes()
+        assert (p.residual_adjoint, p.residual_idempotent) == (ra, ri)
+    # tolerances of about 1 put the residuals of 0/1 projections inside the Frobenius band,
+    # where only the SVD decides
+    for tol in (DEFAULT_TOL, 0.4, 1.2):
+        for fail_fast in (False, True):
+            report = check_boolean(props, tol=tol, fail_fast=fail_fast)
+            pairs, triples, violations = reference_stacked_check_boolean(props, tol, fail_fast)
+            assert (report.pairs_tested, report.triples_tested) == (pairs, triples)
+            assert [(v.law, v.operands, v.residual) for v in report.violations] == [
+                (v.law, v.operands, v.residual) for v in violations
+            ]
+    assert classicality_verdict(g, samples=0, rep=rep).abelian_algebra == reference_abelian_algebra(g, rep)
 
 
 def test_check_boolean_memory_stays_chunked():

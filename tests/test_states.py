@@ -93,6 +93,24 @@ def test_state_from_phi_checks_conjugation_symmetry():
         state_from_phi({0: 0.5, 3: 0.5, 1: 0.5, 2: -0.5}, g)
 
 
+def test_non_finite_inputs_are_rejected():
+    g = pair_groupoid(2)
+    units = [g.unit(x) for x in range(2)]
+    t = next(t for t in range(4) if t not in units)
+    with pytest.raises(ValueError, match=f"unit amplitude at object {g.label(0)}"):
+        state_from_phi({units[0]: np.nan, units[1]: 0.5}, g)
+    with pytest.raises(ValueError, match=f"conjugation symmetry at transition {min(t, g.inverse(t))}"):
+        state_from_phi({units[0]: 0.5, units[1]: 0.5, t: np.nan, g.inverse(t): np.nan}, g)
+    with pytest.raises(ValueError, match="norm"):
+        pure_state(np.array([1.0, np.nan, 0.0, 0.0]), g)
+    rho = np.eye(4) / 4.0
+    rho[2, 2] = np.nan
+    with pytest.raises(ValueError, match="self-adjoint"):
+        state_from_density(rho, g)
+    with pytest.raises(ValueError, match="unimodular"):
+        state_from_transition_phases(g, [1.0, np.nan, 1.0, 1.0])
+
+
 def test_state_from_phi_checks_positivity():
     g = cyclic_group(2)
     # phi(unit)=1, phi(flip)=2 makes the 2x2 Gram matrix indefinite
