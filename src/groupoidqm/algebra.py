@@ -171,23 +171,28 @@ def involution(a: AlgebraElement, g: Groupoid) -> AlgebraElement:
 # -- matrix representations ----------------------------------------------
 
 
-def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """Images of m elements as one ``(m, d, d)`` stack.
 
     Row i of the ``(m, k)`` arrays ``ids`` and ``coeffs`` holds element i's
     terms, id -1 marking an empty slot; terms meeting on one entry add in
-    term order.
+    term order.  ``basis``, the indices of an invariant block (a row of
+    `orbit_blocks`), restricts every image to that block, in its order.
     """
     member, term = np.nonzero(ids >= 0)
     t, c = ids[member, term], coeffs[member, term]
+    d = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+    basis = np.arange(d) if basis is None else basis
+    pos = np.full(d, -1)
+    pos[basis] = np.arange(len(basis))
+    out = np.zeros((ids.shape[0], len(basis), len(basis)), dtype=complex)
     if rep == LEFT_REGULAR:
-        rows = g.table[t]
+        rows = g.table[t][:, basis]
         k, col = np.nonzero(rows >= 0)
-        out = np.zeros((ids.shape[0], g.n_transitions, g.n_transitions), dtype=complex)
-        np.add.at(out, (member[k], rows[k, col], col), c[k])
+        np.add.at(out, (member[k], pos[rows[k, col]], col), c[k])
     elif rep == FUNDAMENTAL:
-        out = np.zeros((ids.shape[0], g.n_objects, g.n_objects), dtype=complex)
-        np.add.at(out, (member, g.target[t], g.source[t]), c)
+        k = np.flatnonzero(pos[g.source[t]] >= 0)
+        np.add.at(out, (member[k], pos[g.target[t[k]]], pos[g.source[t[k]]]), c[k])
     else:
         raise ValueError(f"unknown representation: {rep!r}")
     return out

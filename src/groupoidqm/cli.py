@@ -159,6 +159,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "residual": verdict.witness.residual,
         },
         "lattice_summary": verdict.report.summary(),
+        "offblock_residual": verdict.offblock_residual,
+        "pairs_by_support": verdict.report.pairs_by_support,
     }
     _emit(args, payload, f"classical: {str(verdict.is_classical).lower()}\n" + verdict.describe())
     return 0

@@ -150,7 +150,7 @@ def hamiltonian_from_matrix(
     stack = np.stack(images, axis=1)
     coeffs, _, _, _ = np.linalg.lstsq(stack, m.ravel(), rcond=None)
     residual = float(np.linalg.norm(stack @ coeffs - m.ravel()))
-    if residual > span_tol * scale:
+    if not (residual <= span_tol * scale):
         raise ValueError(
             f"matrix is not in the represented transition algebra (residual {residual:.3e})"
         )

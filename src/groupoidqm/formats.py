@@ -23,9 +23,9 @@ everywhere downstream.  A loop flagged ``unit`` is its object's unit.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
-import math
 from importlib.resources import files
 from typing import Any, Iterable, Sequence
 
@@ -287,6 +287,8 @@ def parse_complex_matrix(raw: Any, origin: str, what: str) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise FormatError(origin, [f"{what}: entries must be [re, im] pairs"]) from None
+    except OverflowError:  # an integer beyond the float range reads as infinite, which the check below names
+        arr = np.asarray(json.loads(json.dumps(raw), parse_int=float), dtype=float)
     # a vector is (n, 2), a square matrix (n, n, 2)
     if not (arr.ndim in (2, 3) and arr.shape[-1] == 2 and arr.shape[0] == arr.shape[arr.ndim - 2]):
         raise FormatError(origin, [f"{what}: expected [re, im] pairs forming a vector or square matrix"])
@@ -322,11 +324,15 @@ def _parse_terms(raw: Any, origin: str) -> dict[int, complex]:
             raise FormatError(origin, [f"term {k}: transition_id must be an integer, got {t!r}"])
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
             raise FormatError(origin, [f"term {k}: re and im must be real numbers, got {re!r}, {im!r}"])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        try:
+            value = complex(re, im)
+        except OverflowError:
+            raise FormatError(origin, [f"term {k}: transition {t} has a value too large for a float"]) from None
+        if not cmath.isfinite(value):
             raise FormatError(origin, [f"term {k}: transition {t} has a non-finite value, re {re!r}, im {im!r}"])
         if t in out:
             raise FormatError(origin, [f"term {k}: duplicate transition_id {t}"])
-        out[t] = complex(re, im)
+        out[t] = value
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "OrbitDecomposition",
     "validate",
     "orbit_decomposition",
+    "orbit_blocks",
     "is_totally_disconnected",
     "has_abelian_isotropy",
     "pair_groupoid",
@@ -441,6 +442,27 @@ def orbit_decomposition(g: Groupoid) -> OrbitDecomposition:
     return OrbitDecomposition(orbits, isotropy)
 
 
+def orbit_blocks(g: Groupoid, rep: str = "left-regular") -> list[np.ndarray]:
+    """Each orbit's invariant blocks of a representation's basis, one row per block, row 0 the representative.
+
+    Left-regular: row 0 lists the transitions t leaving the orbit's first object
+    x, |O|·|G_x| of them, and object y's row lists t∘w for one w: y → x; right
+    multiplication by w commutes with the representation, so every element of
+    C*(G) has one matrix on all rows of an orbit.  Fundamental: the orbit's objects.
+    """
+    orbits = orbit_decomposition(g).orbits
+    if rep == "fundamental":
+        return [np.array([orb]) for orb in orbits]
+    if rep != "left-regular":
+        raise ValueError(f"unknown representation: {rep!r}")
+    out, w = [], np.empty(g.n_objects, dtype=np.intp)
+    for orb in orbits:
+        into = np.flatnonzero(g.target == orb[0])  # w[y]: a transition y -> x, the unit for y = x
+        w[g.source[into]], w[orb[0]] = into, g.unit(orb[0])
+        out.append(g.table[np.flatnonzero(g.source == orb[0])[None, :], w[list(orb)][:, None]])
+    return out
+
+
 def is_totally_disconnected(g: Groupoid) -> bool:
     """True when every transition is a loop (all orbits are singletons)."""
     return bool(np.array_equal(g.source, g.target))
@@ -527,13 +549,12 @@ def symmetric_group(n: int, object_label: str = "*") -> Groupoid:
     """All permutations of n points as a one-object groupoid (n small)."""
     if not 1 <= n <= 6:
         raise ValueError("symmetric group generator supports 1 <= n <= 6")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[k]] for k in range(n))] for q in perms]
-        for p in perms
-    ]
-    return group_groupoid(table, object_label)
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.int8)
+    # a permutation's digits in base n index the lookup; p∘q is p[q], so row p, column q
+    key = n ** np.arange(n - 1, -1, -1)
+    index = np.zeros(n**n, dtype=np.intp)
+    index[perms @ key] = np.arange(len(perms))
+    return group_groupoid(index[perms[:, perms] @ key].tolist(), object_label)
 
 
 def discrete_groupoid(objects: int | Sequence[str]) -> Groupoid:

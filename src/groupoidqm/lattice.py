@@ -12,7 +12,10 @@ bracket around the spectral norm, and reported residuals are spectral
 norms.  A family generates a Boolean lattice exactly when its members
 are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on a
 generating family of C*(G) decides the classicality question, which
-`classicality_verdict` answers three independent ways.
+`classicality_verdict` answers three independent ways.  As C*(G) ≅
+⊕_orbits M_{|O|}(ℂ[G_x]), it runs the laws and the commutators on one
+block per orbit (`orbit_blocks`) once the family is certified to have no
+mass off the blocks; `check_boolean` is the same engine on one block.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .algebra import (
     operator_norm,
     representation_matrix,
 )
-from .groupoid import Groupoid, has_abelian_isotropy, is_totally_disconnected
+from .groupoid import Groupoid, has_abelian_isotropy, is_totally_disconnected, orbit_blocks
 
 __all__ = [
     "Proposition",
@@ -394,14 +397,16 @@ class LawViolation:
 @dataclass(frozen=True)
 class LatticeReport:
     """Laws tested on n propositions.  ``pairs_tested`` is n(n+1)/2; ``triples_tested``
-    counts the compatibility triples (P_i, P_j, P_j′), i < j, evaluated: n(n-1)/2, or under
-    ``fail_fast`` up to the first violation (none if an order law failed first)."""
+    counts the compatibility triples (P_i, P_j, P_j′), i < j, decided: n(n-1)/2, or under
+    ``fail_fast`` up to the first violation (none if an order law failed first), and
+    ``pairs_by_support`` those decided without a meet, as no block has both proper."""
 
     n_propositions: int
     pairs_tested: int
     triples_tested: int
     violations: tuple[LawViolation, ...]
     note: str = ""
+    pairs_by_support: int = 0
 
     @property
     def is_boolean(self) -> bool:
@@ -435,14 +440,17 @@ def _chunks(count: int, d: int):
         yield slice(start, min(start + step, count))
 
 
-def _residuals(count: int, d: int, stack, tol: float) -> np.ndarray:
-    """‖stack(s)‖₂ over index slices s covering ``range(count)`` where it exceeds ``tol``, else 0."""
-    out = np.zeros(count)
-    for s in _chunks(count, d):
-        x = stack(s)
-        over = _exceeds(x, tol)
-        out[s][over] = _norms(x[over])
-    return out
+def _offblock_residual(mats: np.ndarray, blocks: Sequence[np.ndarray]) -> float:
+    """Largest ‖P − P̂‖_F over a stack, P̂ repeating P's representative block on every row of its orbit, 0 elsewhere:
+    a bound on all that the block engine does not see, off-block entries and the spread along an orbit."""
+    d = mats.shape[-1]
+    fold, block = np.zeros(d, dtype=np.intp), np.full(d, -1)
+    for rows in blocks:
+        fold[rows] = rows[0]
+        block[rows] = block.max() + 1 + np.arange(rows.shape[0])[:, None]
+    same = (block[:, None] == block[None, :]) & (block >= 0)
+    return max((float(np.max(np.linalg.norm(mats[s] - np.where(same, mats[s][:, fold[:, None], fold], 0), axis=(-2, -1))))
+                for s in _chunks(len(mats), d)), default=0.0)
 
 
 def check_boolean(
@@ -458,37 +466,64 @@ def check_boolean(
     meets are orthogonal, so the join is their sum), over pairs i < j: P_i and
     P_j commute, and commuting members generate a Boolean lattice
     (Foulis–Holland).  Residuals are operator norms of the two sides' difference.
-    Every law runs on stacks in chunks of ``CHUNK_ENTRIES`` entries and is
-    decided by the Frobenius bracket of ``_exceeds``; only the violators'
-    residuals are computed, as exact operator norms.  The violations are
-    collected in the order of the loops above; ``fail_fast`` stops at the first.
+    Every law runs on stacks in chunks of ``CHUNK_ENTRIES`` entries, decided by
+    the Frobenius bracket of ``_exceeds``; only the violators' residuals are
+    computed.  Violations come in the order of the loops above; ``fail_fast``
+    stops at the first.  This is `_check_blocks` on one block, the whole space.
     """
-    n = len(props)
-    if n == 0:
+    if not props:
         return LatticeReport(0, 0, 0, (), note)
-    mats = np.stack([p.matrix for p in props])
-    d = mats.shape[-1]
-    eye = np.eye(d)
+    none = np.zeros((1, len(props)), dtype=bool)  # no member is taken as 0 or I
+    return _check_blocks([np.stack([p.matrix for p in props])], none, none, tol, fail_fast, note)
+
+
+def _check_blocks(blocks: Sequence[np.ndarray], zero: np.ndarray, full: np.ndarray, tol: float, fail_fast: bool,
+                  note: str) -> LatticeReport:
+    """`check_boolean` on block-diagonal members, given as one ``(n, r, r)`` stack per block.
+
+    Member i is 0 on block b where ``zero[b, i]``, I where ``full[b, i]``, else
+    proper.  Where P is 0 or I the order needs no product (0 is below all, all
+    below I, I below nothing proper, nothing proper below 0) and no law can fail:
+    P ≤ Q ≤ P forces Q = P, Q = P ∨ (Q ∧ P′) and both compatibility identities
+    hold when either side is 0 or I, and P ≤ Q ≤ R, P ≰ R needs all three proper
+    where it fails.  So a law runs on the blocks where its operands are proper,
+    and its residual is the largest there, the norm of a block-diagonal matrix.
+    A compatibility pair with no such block counts in ``pairs_by_support``.
+    """
+    n = blocks[0].shape[0]
+    proper = ~(zero | full)
     pairs = n * (n + 1) // 2
     violations: list[LawViolation] = []
 
     def done() -> bool:
         return fail_fast and bool(violations)
 
-    # order: P_i below P_j when P_i P_j = P_i
-    oi, oj = np.divmod(np.arange(n * n), n)
-    below = ~np.concatenate([_exceeds(mats[oi[s]] @ mats[oj[s]] - mats[oi[s]], tol) for s in _chunks(n * n, d)])
-    below = below.reshape(n, n)
+    def worst(i: np.ndarray, j: np.ndarray, law) -> np.ndarray:
+        """Largest ‖law(mats, i, j)‖₂ above ``tol`` over the blocks where both members are proper, else 0."""
+        out = np.zeros(len(i))
+        for mats, ok in zip(blocks, proper):
+            k = np.flatnonzero(ok[i] & ok[j])
+            for s in _chunks(k.size, mats.shape[-1]):
+                x = law(mats, i[k[s]], j[k[s]])
+                over = _exceeds(x, tol)
+                out[k[s][over]] = np.maximum(out[k[s][over]], _norms(x[over]))
+        return out
+
+    # order: P_i below P_j when P_i P_j = P_i on every block
+    below = np.ones((n, n), dtype=bool)
+    for mats, ok, z, f in zip(blocks, proper, zero, full):
+        on = z[:, None] | f[None, :]
+        oi, oj = np.nonzero(ok[:, None] & ok[None, :])
+        for s in _chunks(oi.size, mats.shape[-1]):
+            on[oi[s], oj[s]] = ~_exceeds(mats[oi[s]] @ mats[oj[s]] - mats[oi[s]], tol)
+        below &= on
 
     # pair laws over the ordered pairs i != j with P_i below P_j, in row-major order
     bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
     mutual = below[bj, bi]
-    anti_res = _residuals(bi.size, d, lambda s: mats[bi[s]] - mats[bj[s]], tol)
+    anti_res = worst(bi, bj, lambda m, i, j: m[i] - m[j])
     # orthomodularity: Q recovers as P or (Q and not P)
-    ortho_res = _residuals(
-        bi.size, d,
-        lambda s: mats[bj[s]] - _join_m(mats[bi[s]], _meet_m(mats[bj[s]], eye - mats[bi[s]])), tol,
-    )
+    ortho_res = worst(bi, bj, lambda m, i, j: m[j] - _join_m(m[i], _meet_m(m[j], np.eye(m.shape[-1]) - m[i])))
     for t in range(bi.size):
         if done():
             break
@@ -498,27 +533,27 @@ def check_boolean(
         elif not ortho_res[t] <= tol:
             violations.append(LawViolation("orthomodularity", (i, j), float(ortho_res[t])))
 
-    distinct = np.ones((n, n, n), dtype=bool)
-    idx = np.arange(n)
-    distinct[idx, idx, :] = distinct[idx, :, idx] = distinct[:, idx, idx] = False
-    broken = below[:, :, None] & below[None, :, :] & ~below[:, None, :] & distinct
+    # i = j or j = k can never break; i = k only when a member is not below itself
+    broken = below[:, :, None] & below[None, :, :] & ~below[:, None, :] & ~np.eye(n, dtype=bool)[:, None, :]
     tri = np.argwhere(broken)[: 0 if done() else 1 if fail_fast else None]
-    tri_res = _residuals(len(tri), d, lambda s: mats[tri[s, 0]] @ mats[tri[s, 2]] - mats[tri[s, 0]], tol)
+    tri_res = worst(tri[:, 0], tri[:, 2], lambda m, i, k: m[i] @ m[k] - m[i])
     violations += [LawViolation("transitivity", (i, j, k), float(r)) for (i, j, k), r in zip(tri.tolist(), tri_res)]
 
     # compatibility of every pair i < j, in row-major order
     ci, cj = np.triu_indices(n, 1)
-    triples = 0
-    for s in _chunks(0 if done() else ci.size, d):
-        lhs = mats[ci[s]] - _meet_m(mats[ci[s]], mats[cj[s]])
-        lhs -= _meet_m(mats[ci[s]], eye - mats[cj[s]])
-        over = np.flatnonzero(_exceeds(lhs, tol))
-        triples = s.stop
-        for t, r in zip(over.tolist(), _norms(lhs[over[:1] if fail_fast else over])):
-            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(r)))
+    met = (proper[:, ci] & proper[:, cj]).any(axis=0)
+
+    def report(decided: int) -> LatticeReport:
+        return LatticeReport(n, pairs, decided, tuple(violations), note, decided - int(met[:decided].sum()))
+
+    decided = 0 if done() else ci.size
+    for s in _chunks(decided, max(m.shape[-1] for m in blocks)):
+        res = worst(ci[s], cj[s], lambda m, i, j: m[i] - _meet_m(m[i], m[j]) - _meet_m(m[i], np.eye(m.shape[-1]) - m[j]))
+        for t in np.flatnonzero(~(res <= tol)).tolist():
+            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
             if done():
-                return LatticeReport(n, pairs, s.start + t + 1, tuple(violations), note)
-    return LatticeReport(n, pairs, triples, tuple(violations), note)
+                return report(s.start + t + 1)
+    return report(decided)
 
 
 # -- the classicality theorem, three ways ---------------------------------
@@ -539,6 +574,7 @@ class ClassicalityVerdict:
     report: LatticeReport
     witness: LawViolation | None
     propositions: tuple[Proposition, ...] = field(repr=False, default=())
+    offblock_residual: float = 0.0
 
     @property
     def structural(self) -> bool:
@@ -591,18 +627,35 @@ def classicality_verdict(
     """
     props = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
     note = f"canonical family: units, superpositions, loop eigenprojections, {samples} random eigenprojections"
-    report = check_boolean(props, tol=tol, fail_fast=fail_fast, note=note)
+    blocks = orbit_blocks(g, rep)
+    mats = np.stack([p.matrix for p in props])
+    offblock = _offblock_residual(mats, blocks)
+    if offblock <= DEFAULT_TOL:
+        # a member is trivial on a block within DEFAULT_TOL of 0 or I there; a certified member's block is
+        # a projection, of norm 0 or 1, so the Frobenius norm alone decides
+        sub = [mats[:, rows[0][:, None], rows[0]] for rows in blocks]
+        zero = np.array([~_exceeds(m, DEFAULT_TOL) for m in sub])
+        full = np.array([~_exceeds(np.eye(m.shape[-1]) - m, DEFAULT_TOL) for m in sub])
+        report = _check_blocks(sub, zero, full, tol, fail_fast, note)
+    else:
+        note += f"; off-block residual {offblock:.3e} exceeds {DEFAULT_TOL:g}, so the laws ran on the whole space"
+        report = check_boolean(props, tol=tol, fail_fast=fail_fast, note=note)
 
     td = is_totally_disconnected(g)
     ab_iso = has_abelian_isotropy(g)
 
-    # route three: commutators of basis pairs i < j, a chunk at a time, up to the first failing chunk
-    images = _represent(g, rep, np.arange(g.n_transitions)[:, None], np.ones((g.n_transitions, 1)))
-    ci, cj = np.triu_indices(len(images), 1)
-    abelian_alg = not any(
-        _exceeds(images[ci[s]] @ images[cj[s]] - images[cj[s]] @ images[ci[s]], 1e-10).any()
-        for s in _chunks(ci.size, images.shape[-1])
-    )
+    # route three: commutators of the basis images on each representative block, up to the first
+    # failing chunk; the images are exact 0/1 matrices, equal on the blocks of one orbit, and a
+    # transition that is 0 on a block commutes with everything there
+    ids, abelian_alg = np.arange(g.n_transitions)[:, None], True
+    for rows in blocks:
+        images = _represent(g, rep, ids, np.ones(ids.shape), rows[0])
+        images = images[images.any(axis=(-2, -1))]
+        ci, cj = np.triu_indices(len(images), 1)
+        abelian_alg = abelian_alg and not any(
+            _exceeds(images[ci[s]] @ images[cj[s]] - images[cj[s]] @ images[ci[s]], 1e-10).any()
+            for s in _chunks(ci.size, images.shape[-1])
+        )
 
     witness = report.violations[0] if report.violations else None
     return ClassicalityVerdict(
@@ -613,4 +666,5 @@ def classicality_verdict(
         report=report,
         witness=witness,
         propositions=tuple(props),
+        offblock_residual=offblock,
     )

@@ -284,6 +284,40 @@ def test_measure_rejects_non_finite_state_entries(capsys, tmp_path, state, where
     assert str(path) in err and where in err
 
 
+HUGE = "1" + "0" * 400  # an integer literal no float can hold
+
+
+@pytest.mark.parametrize(
+    "state, where",
+    [
+        ('{"phi": [{"transition_id": 0, "re": 1.0, "im": 0}, {"transition_id": 1, "re": %s, "im": 0}]}' % HUGE,
+         "term 1: transition 1 has a value too large for a float"),
+        ('{"phi": [{"transition_id": 0, "re": 1.0, "im": -%s}]}' % HUGE,
+         "term 0: transition 0 has a value too large for a float"),
+        ('{"vector": [[1, 0], [0, %s]]}' % HUGE, "vector[1] is not finite"),
+        ('{"rep": "fundamental", "density": [[[1, 0], [0, 0]], [[-%s, 0], [0, 0]]]}' % HUGE,
+         "density[1][0] is not finite"),
+    ],
+    ids=["phi-re", "phi-im", "vector", "density"],
+)
+def test_measure_rejects_integers_too_large_for_a_float(capsys, tmp_path, state, where):
+    path = tmp_path / "huge.state"
+    path.write_text(state + "\n")
+    sets = tmp_path / "ab.sets"
+    sets.write_text('{"sets": [{"name": "A", "transitions": [0]}, {"name": "B", "transitions": [1]}]}\n')
+    code, out, err = run(capsys, "measure", CAT, "--state", str(path), "--sets", str(sets))
+    assert code == 1 and out == ""
+    assert str(path) in err and where in err
+
+
+def test_evolve_rejects_a_hamiltonian_coefficient_too_large_for_a_float(capsys, tmp_path):
+    path = tmp_path / "huge.element"
+    path.write_text('{"terms": [{"transition_id": 1, "re": 1.0}, {"transition_id": 2, "re": %s}]}\n' % HUGE)
+    code, out, err = run(capsys, "evolve", QCAT, "--state", SUPERPOSITION, "--hamiltonian", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "term 1: transition 2 has a value too large for a float" in err
+
+
 def test_evolve_rejects_a_non_finite_hamiltonian_coefficient(capsys, tmp_path):
     path = tmp_path / "nan.element"
     path.write_text('{"terms": [{"transition_id": 1, "re": 1.0}, {"transition_id": 2, "re": NaN}]}\n')

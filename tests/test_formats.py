@@ -266,6 +266,34 @@ def test_element_terms_are_typed(tmp_path, term, fragment):
     assert exc.value.origin == str(path)
 
 
+HUGE = 10**400  # an integer no float can hold; JSON writes it digit for digit
+
+
+@pytest.mark.parametrize(
+    "kind, payload, fragment",
+    [
+        ("state", {"phi": [{"transition_id": 0, "re": 1.0}, {"transition_id": 1, "re": HUGE}]},
+         "term 1: transition 1 has a value too large for a float"),
+        ("state", {"vector": [[1, 0], [0, 0], [0, -HUGE], [0, 0]]}, "vector[2] is not finite"),
+        ("state", {"density": [[[0, 0]] * 4, [[0, 0]] * 4, [[0, 0], [0, 0], [0, 0], [HUGE, 0]], [[0, 0]] * 4]},
+         "density[2][3] is not finite"),
+        ("element", {"terms": [{"transition_id": 0, "re": 1.0}, {"transition_id": 3, "im": HUGE}]},
+         "term 1: transition 3 has a value too large for a float"),
+        ("operator", {"matrix": [[[HUGE, 0], [0, 0]], [[0, 0], [1, 0]]]}, "matrix[0][0] is not finite"),
+    ],
+    ids=["phi", "vector", "density", "element", "operator"],
+)
+def test_integers_too_large_for_a_float_are_rejected(tmp_path, kind, payload, fragment):
+    path = tmp_path / f"huge.{kind}"
+    path.write_text(json.dumps(payload))
+    load = {"state": lambda p: load_state(p, pair_groupoid(2)), "element": load_element, "operator": load_operator}[kind]
+    with pytest.raises(FormatError, match=fragment.replace("[", r"\[").replace("]", r"\]")) as exc:
+        load(str(path))
+    assert exc.value.origin == str(path)
+    # just below the float range the value loads, and only the finiteness guards apply
+    assert parse_complex_matrix([[2**1023, 0]], "origin", "vector")[0] == 2.0**1023
+
+
 def test_history_sets_roundtrip(tmp_path):
     sets = [("stay", {0}), ("flip", {1, 2})]
     path = tmp_path / "h.sets"

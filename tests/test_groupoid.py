@@ -1,5 +1,7 @@
 """Core groupoid structure: generators, validation, orbits, isotropy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,20 @@ def test_cyclic_group_structure():
     assert g.compose(1, 1) == 2
     assert g.compose(3, 1) == 0
     assert g.inverse(1) == 3
+
+
+def _reference_symmetric_table(n: int) -> list[list[int]]:
+    """The permutation table one product at a time: row p, column q holds p∘q, "q first, then p"."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_group_table_matches_the_per_product_table(n):
+    g = symmetric_group(n)
+    assert g == group_groupoid(_reference_symmetric_table(n))
+    assert g.table.tolist() == _reference_symmetric_table(n)
 
 
 def test_symmetric_group_sizes():

@@ -25,6 +25,7 @@ from groupoidqm import (
     leq,
     meet,
     operator_norm,
+    orbit_blocks,
     pair_groupoid,
     range_intersection_projection,
     spectral_projections,
@@ -33,8 +34,9 @@ from groupoidqm import (
     unit_proposition,
 )
 from groupoidqm.formats import fixture_path, load_groupoid
-from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, involution
-from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _chunks, _join_m, _meet_m, meet_unsymmetrized
+from groupoidqm import lattice
+from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, involution, representation_matrix
+from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _check_blocks, _chunks, _join_m, _meet_m, meet_unsymmetrized
 
 from conftest import dihedral_group, quaternion_group, random_groupoids, random_projection
 
@@ -526,6 +528,126 @@ def test_stacked_lattice_route_equals_the_per_member_route(g, rep, samples, seed
                 (v.law, v.operands, v.residual) for v in violations
             ]
     assert classicality_verdict(g, samples=0, rep=rep).abelian_algebra == reference_abelian_algebra(g, rep)
+
+
+# -- the orbit-block route of classicality_verdict --------------------------------
+
+
+@settings(deadline=None, max_examples=25)
+@given(random_groupoids(max_transitions=24), st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]), st.integers(0, 2**16))
+def test_orbit_blocks_partition_the_basis_into_equal_blocks(g, rep, seed):
+    blocks = orbit_blocks(g, rep)
+    rows = np.concatenate([b.ravel() for b in blocks])
+    d = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+    assert sorted(rows.tolist()) == list(range(d))
+    if rep == LEFT_REGULAR:
+        for b in blocks:
+            x = g.source[b[0, 0]]
+            assert b[0].tolist() == np.flatnonzero(g.source == x).tolist()
+            assert b.shape == (b.shape[0], b.shape[0] * len(g.loops_at(x)))
+    rng = np.random.default_rng(seed)
+    m = representation_matrix(AlgebraElement(dict(enumerate(rng.standard_normal(g.n_transitions)))), g, rep).matrix
+    hat = np.zeros_like(m)
+    for b in blocks:
+        for row in b:
+            assert m[np.ix_(row, row)].tobytes() == m[np.ix_(b[0], b[0])].tobytes()
+            hat[np.ix_(row, row)] = m[np.ix_(row, row)]
+    assert hat.tobytes() == m.tobytes()
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    st.lists(random_groupoids(max_transitions=12), min_size=1, max_size=3),
+    st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_block_engine_equals_the_one_block_engine(parts, rep, samples, seed):
+    # unions of up to three random groupoids, so that most draws have several orbits
+    g = parts[0] if len(parts) == 1 else disjoint_union(parts)
+    props = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
+    for tol in (DEFAULT_TOL, 0.4, 1.2):
+        for fail_fast in (False, True):
+            v = classicality_verdict(g, samples=samples, seed=seed, rep=rep, tol=tol, fail_fast=fail_fast)
+            dense = check_boolean(props, tol=tol, fail_fast=fail_fast)
+            assert v.offblock_residual <= 1e-12
+            assert "whole space" not in v.report.note
+            assert (v.report.pairs_tested, v.report.triples_tested) == (dense.pairs_tested, dense.triples_tested)
+            assert [(x.law, x.operands) for x in v.report.violations] == [(x.law, x.operands) for x in dense.violations]
+            assert_allclose([x.residual for x in v.report.violations], [x.residual for x in dense.violations],
+                            rtol=0, atol=1e-12)
+            assert 0 <= v.report.pairs_by_support <= v.report.triples_tested
+            assert dense.pairs_by_support == 0
+    assert v.abelian_algebra == reference_abelian_algebra(g, rep)
+
+
+def block_family(seed: int, dims, n: int):
+    """(kinds, blocks, props): n members that are 0, I or a Haar-random projection on each block, and their sums."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(3, size=(len(dims), n), p=[0.2, 0.2, 0.6])
+    kinds[(np.array(dims) == 1)[:, None] & (kinds == 2)] = 1
+    blocks = [np.stack([random_projection(rng, r, int(rng.integers(1, r))) if k == 2 else np.eye(r) * (k == 1)
+                        for k in row]).astype(complex) for r, row in zip(dims, kinds)]
+    mats = np.zeros((n, sum(dims), sum(dims)), dtype=complex)
+    for b, start in zip(blocks, np.cumsum([0, *dims[:-1]])):
+        mats[:, start:start + b.shape[-1], start:start + b.shape[-1]] = b
+    return kinds, blocks, [certified(m) for m in mats]
+
+
+def assert_block_engine_matches(kinds, blocks, props, tol, fail_fast):
+    got = _check_blocks(blocks, kinds == 0, kinds == 1, tol, fail_fast, "")
+    want = check_boolean(props, tol=tol, fail_fast=fail_fast)
+    assert (got.pairs_tested, got.triples_tested) == (want.pairs_tested, want.triples_tested)
+    assert [(v.law, v.operands) for v in got.violations] == [(v.law, v.operands) for v in want.violations]
+    assert_allclose([v.residual for v in got.violations], [v.residual for v in want.violations], rtol=0, atol=1e-12)
+    both = (kinds == 2)[:, :, None] & (kinds == 2)[:, None, :]
+    unmet = ~both.any(axis=0)[np.triu_indices(len(props), 1)]
+    assert got.pairs_by_support == int(unmet[:got.triples_tested].sum())
+    return got
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(2, 8), st.integers(0, 2**16))
+def test_block_engine_on_block_diagonal_families(dims, n, seed):
+    # at tolerances 0.7 and 0.9 the order relation of random projections is loose
+    # enough to break transitivity
+    family = block_family(seed, dims, n)
+    for tol in (DEFAULT_TOL, 0.7, 0.9):
+        for fail_fast in (False, True):
+            assert_block_engine_matches(*family, tol, fail_fast)
+
+
+def test_a_law_residual_is_the_largest_over_the_blocks():
+    # a drawn family whose transitivity failure (3, 2, 0) has both outer members proper on
+    # both blocks, and fails on the first block only
+    kinds, blocks, props = block_family(68, [3, 3], 5)
+    report = assert_block_engine_matches(kinds, blocks, props, 0.9, False)
+    witness = next(v for v in report.violations if v.operands == (3, 2, 0))
+    on_block = [operator_norm(b[3] @ b[0] - b[3]) for b in blocks]
+    assert witness.law == "transitivity" and (kinds[:, [0, 3]] == 2).all()
+    assert on_block[1] < 0.9 < on_block[0] and witness.residual == pytest.approx(on_block[0], abs=1e-12)
+
+
+def test_block_engine_decides_pairs_on_different_orbits_without_a_meet():
+    # each Z3 unit is I on its own block and 0 on the others, so only the loop
+    # eigenprojections of one component ever meet
+    v = classicality_verdict(disjoint_union([cyclic_group(3)] * 4), samples=0)
+    assert v.boolean_lattice and v.consistent and v.offblock_residual == 0.0
+    n = v.report.n_propositions
+    assert v.report.triples_tested == n * (n - 1) // 2
+    assert v.report.pairs_by_support == n * (n - 1) // 2 - 4 * 3
+
+
+def test_a_partition_that_drops_an_orbit_falls_back_to_the_whole_space(monkeypatch):
+    g = disjoint_union([pair_groupoid(2), symmetric_group(3)])
+    monkeypatch.setattr(lattice, "orbit_blocks", lambda g, rep: orbit_blocks(g, rep)[:1])
+    v = classicality_verdict(g, samples=2)
+    assert v.offblock_residual >= 1.0 - 1e-12
+    assert "so the laws ran on the whole space" in v.report.note
+    dense = check_boolean(v.propositions)
+    assert (v.report.pairs_tested, v.report.triples_tested, v.report.pairs_by_support) == (
+        dense.pairs_tested, dense.triples_tested, 0)
+    assert v.report.violations == dense.violations
 
 
 def test_check_boolean_memory_stays_chunked():
