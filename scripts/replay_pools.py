@@ -1,0 +1,175 @@
+"""Replay the benchmark's call pools through two checkouts and compare them call by call.
+
+    python3 scripts/replay_pools.py OLD NEW --workload all --seeds 1-16
+
+OLD and NEW are checkout roots, each with ``src/groupoidqm``.  For each
+workload and seed, the pool of ``--rounds`` rounds comes from NEW's
+``bench/workloads.py`` exactly as the benchmark draws it; every call then
+runs in process through OLD's ``cli.main`` and through NEW's.  Each call
+is compared on its exit code, its failure tags (``check_call``), whether
+its stdout is byte-identical (or equal once the top-level keys only one
+side has are dropped), and, for payloads with ``rows``, the layout
+of the rows (keys, order and every non-float value) and their largest
+float difference.  A line is printed for each call whose exit code, tags
+or row layout differ, then one summary per workload, and last the whole
+summary as one JSON object.  The exit status is 1 when an exit code or a
+failure tag differs on any call, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+
+# the benchmark's pinning, set before numpy is imported, so both sides see its BLAS
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+import argparse  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def parse_seeds(raw: str) -> list[int]:
+    """``1-16``, ``3`` or ``1,4,7-9``."""
+    seeds = []
+    for part in raw.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def import_cli(root: Path):
+    """A fresh import of ``groupoidqm.cli`` from ``root/src``."""
+    src = (root / "src").resolve()
+    for name in [n for n in sys.modules if n == "groupoidqm" or n.startswith("groupoidqm.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        cli = importlib.import_module("groupoidqm.cli")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise RuntimeError(f"imported groupoidqm from {cli.__file__}, not from {src}")
+    return cli
+
+
+def run_calls(cli, calls) -> list[tuple[int, str, str]]:
+    outputs = []
+    for call in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(call.argv))
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else 1
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def compare_rows(old_out: str, new_out: str) -> tuple[bool, float] | None:
+    """(same layout, largest float difference) of two payloads' ``rows``, or None without rows on both sides."""
+    try:
+        old, new = json.loads(old_out).get("rows"), json.loads(new_out).get("rows")
+    except (json.JSONDecodeError, AttributeError):
+        return None
+    if old is None and new is None:
+        return None
+    if not (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)):
+        return False, float("nan")
+    worst = 0.0
+    for a, b in zip(old, new):
+        if list(a) != list(b):
+            return False, float("nan")
+        for key, x in a.items():
+            y = b[key]
+            if isinstance(x, float) and isinstance(y, float):
+                worst = max(worst, abs(x - y))
+            elif x != y or type(x) is not type(y):
+                return False, float("nan")
+    return True, worst
+
+
+def equal_apart_from_new_keys(old_out: str, new_out: str) -> bool:
+    """Whether two payloads are equal once the top-level keys that only one side has are dropped."""
+    try:
+        old, new = json.loads(old_out), json.loads(new_out)
+    except json.JSONDecodeError:
+        return False
+    if isinstance(old, dict) and isinstance(new, dict):
+        old, new = ({k: v for k, v in d.items() if k in old and k in new} for d in (old, new))
+    return json.dumps(old) == json.dumps(new)
+
+
+def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], rounds: int, workdir: Path) -> dict:
+    from workloads import check_call, make_pool
+
+    summary = {
+        "calls": 0, "exit_codes_differ": 0, "tags_differ": 0, "stdout_identical": 0,
+        "stdout_identical_apart_from_new_keys": 0, "rows_layout_differs": 0, "worst_rows_difference": 0.0, "tags": {"old": {}, "new": {}},
+    }
+    for seed in seeds:
+        pool = make_pool(workload, seed, rounds, workdir / f"{workload}-{seed}")
+        numbered = [(r, call) for r, round_calls in enumerate(pool) for call in round_calls]
+        calls = [call for _, call in numbered]
+        outputs = {side: run_calls(import_cli(root), calls) for side, root in (("old", old_root), ("new", new_root))}
+        for k, (r, call) in enumerate(numbered):
+            (old_code, old_out, _), (new_code, new_out, _) = outputs["old"][k], outputs["new"][k]
+            tags = {}
+            for side, (code, out, err) in (("old", outputs["old"][k]), ("new", outputs["new"][k])):
+                tags[side] = [f.kind for f in check_call(call, code, out, err)]
+                for tag in tags[side]:
+                    summary["tags"][side][tag] = summary["tags"][side].get(tag, 0) + 1
+            rows = compare_rows(old_out, new_out) if old_code == new_code == 0 else None
+            summary["calls"] += 1
+            summary["exit_codes_differ"] += old_code != new_code
+            summary["tags_differ"] += tags["old"] != tags["new"]
+            summary["stdout_identical"] += old_out == new_out
+            summary["stdout_identical_apart_from_new_keys"] += old_out == new_out or equal_apart_from_new_keys(old_out, new_out)
+            if rows is not None:
+                summary["rows_layout_differs"] += not rows[0]
+                if rows[0]:
+                    summary["worst_rows_difference"] = max(summary["worst_rows_difference"], rows[1])
+            if old_code != new_code or tags["old"] != tags["new"] or (rows is not None and not rows[0]):
+                print(
+                    f"{workload} seed {seed} round {r} "
+                    f"{call.label}: exit {old_code} -> {new_code}, tags {tags['old']} -> {tags['new']}, "
+                    f"rows layout {'same' if rows is None or rows[0] else 'differs'}"
+                )
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="root of the reference checkout")
+    parser.add_argument("new", type=Path, help="root of the checkout under test; its bench/ draws the pools")
+    parser.add_argument("--workload", default="all", choices=("classify", "interfere", "dynamics", "all"))
+    parser.add_argument("--seeds", default="1-16", type=parse_seeds, help="seeds as 1-16 or 1,4,7-9 (default 1-16)")
+    parser.add_argument("--rounds", type=int, default=50, help="rounds per seed's pool (default 50, as the benchmark)")
+    args = parser.parse_args(argv)
+    for root in (args.old, args.new):
+        if not (root / "src" / "groupoidqm" / "__init__.py").is_file():
+            parser.error(f"no program source at {root / 'src' / 'groupoidqm'}")
+    sys.path.insert(0, str((args.new / "bench").resolve()))
+    workloads = ("classify", "interfere", "dynamics") if args.workload == "all" else (args.workload,)
+    result = {}
+    with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
+        for workload in workloads:
+            s = result[workload] = replay(args.old, args.new, workload, args.seeds, args.rounds, Path(tmp))
+            print(
+                f"{workload}: {s['calls']} calls, exit codes differ on {s['exit_codes_differ']}, "
+                f"tags differ on {s['tags_differ']}, stdout identical on {s['stdout_identical']} "
+                f"({s['stdout_identical_apart_from_new_keys']} apart from keys only one side has), "
+                f"rows layout differs on {s['rows_layout_differs']}, worst rows difference {s['worst_rows_difference']:.3e}, "
+                f"tags old {s['tags']['old']} new {s['tags']['new']}"
+            )
+    print(json.dumps(result, sort_keys=True))
+    return 1 if any(s["exit_codes_differ"] or s["tags_differ"] for s in result.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

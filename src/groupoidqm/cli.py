@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
-import json
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .dynamics import (
     DEFAULT_GRID,
@@ -33,6 +31,7 @@ from .dynamics import (
 )
 from .formats import (
     FormatError,
+    dump_json,
     load_element,
     load_groupoid,
     load_history_sets,
@@ -46,16 +45,25 @@ from .groupoid import (
     orbit_decomposition,
 )
 from .lattice import canonical_propositions, check_boolean, classicality_verdict
-from .states import decoherence_functional, interference, quantum_measure
+from .states import measure_rows
 
 __all__ = ["main"]
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.format == "structured":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
+def _emit(args: argparse.Namespace, payload: dict, text: Callable[[], str]) -> None:
+    """Print ``payload`` as canonical JSON under ``--format structured``, else what ``text`` renders."""
+    print(dump_json(payload) if args.format == "structured" else text())
+
+
+def _cell(v: Any) -> str:
+    return "" if v is None else str(v).lower() if isinstance(v, bool) else ",".join(v) if isinstance(v, list) \
+        else repr(v) if isinstance(v, float) else str(v)
+
+
+def _table(header: str, rows) -> str:
+    """Tab-separated text: the header, then one line per row of values (None empty, booleans in lower case,
+    lists joined by commas, floats by repr)."""
+    return "\n".join([header] + ["\t".join(map(_cell, row)) for row in rows])
 
 
 def _grid_flag(raw: str) -> tuple[float, float, int]:
@@ -88,10 +96,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         g = load_groupoid(args.path, check=True)
     except FormatError as e:
-        _emit(args, {"valid": False, "problems": e.problems}, e.pretty())
+        _emit(args, {"valid": False, "problems": e.problems}, e.pretty)
         return 1
     payload = {"valid": True, "objects": g.n_objects, "transitions": g.n_transitions}
-    _emit(args, payload, f"OK: {g.n_objects} objects, {g.n_transitions} transitions")
+    _emit(args, payload, lambda: f"OK: {g.n_objects} objects, {g.n_transitions} transitions")
     return 0
 
 
@@ -114,18 +122,19 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"totally disconnected: {is_totally_disconnected(g)}",
         f"abelian isotropy: {has_abelian_isotropy(g)}",
     ]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 0
+
+
+def _violation(v, props) -> dict:
+    return {"law": v.law, "operands": [props[i].label or f"#{i}" for i in v.operands], "residual": v.residual}
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     g = load_groupoid(args.path, check=True)
     props = canonical_propositions(g, samples=args.samples, seed=args.seed)
     report = check_boolean(props, tol=args.tol)
-    rows = [
-        {"law": v.law, "operands": [props[i].label or f"#{i}" for i in v.operands], "residual": v.residual}
-        for v in report.violations
-    ]
+    rows = [_violation(v, props) for v in report.violations]
     payload = {
         "boolean": report.is_boolean,
         "propositions": [p.label for p in props],
@@ -133,10 +142,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "triples_tested": report.triples_tested,
         "violations": rows,
     }
-    lines = [report.summary()]
-    lines += ["law\toperands\tresidual"]
-    lines += [f"{r['law']}\t{','.join(r['operands'])}\t{r['residual']!r}" for r in rows]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: report.summary() + "\n" + _table("law\toperands\tresidual", (r.values() for r in rows)))
     return 0
 
 
@@ -151,18 +157,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "abelian_algebra": verdict.abelian_algebra,
         "consistent": verdict.consistent,
         "pseudo_classical": verdict.pseudo_classical,
-        "witness": None
-        if verdict.witness is None
-        else {
-            "law": verdict.witness.law,
-            "operands": [verdict.propositions[i].label or f"#{i}" for i in verdict.witness.operands],
-            "residual": verdict.witness.residual,
-        },
+        "witness": None if verdict.witness is None else _violation(verdict.witness, verdict.propositions),
         "lattice_summary": verdict.report.summary(),
         "offblock_residual": verdict.offblock_residual,
         "pairs_by_support": verdict.report.pairs_by_support,
     }
-    _emit(args, payload, f"classical: {str(verdict.is_classical).lower()}\n" + verdict.describe())
+    _emit(args, payload, lambda: f"classical: {str(verdict.is_classical).lower()}\n" + verdict.describe())
     return 0
 
 
@@ -170,22 +170,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     g = load_groupoid(args.path, check=True)
     state = load_state(args.state, g)
     sets = load_history_sets(args.sets)
-    rows: list[dict[str, Any]] = []
-    for name, ids in sets:
-        rows.append({"quantity": "mu", "operands": [name], "re": quantum_measure(state, ids), "im": 0.0})
-    for (na, a), (nb, b) in itertools.combinations(sets, 2):
-        d = decoherence_functional(state, a, b)
-        rows.append({"quantity": "D", "operands": [na, nb], "re": d.real, "im": d.imag})
-        if not (a & b):
-            rows.append({"quantity": "I2", "operands": [na, nb], "re": interference(state, a, b), "im": 0.0})
-    for (na, a), (nb, b), (nc, c) in itertools.combinations(sets, 3):
-        if not (a & b or a & c or b & c):
-            rows.append(
-                {"quantity": "I3", "operands": [na, nb, nc], "re": interference(state, a, b, c), "im": 0.0}
-            )
-    lines = ["quantity\toperands\tre\tim"]
-    lines += [f"{r['quantity']}\t{','.join(r['operands'])}\t{r['re']!r}\t{r['im']!r}" for r in rows]
-    _emit(args, {"rows": rows}, "\n".join(lines))
+    rows = [
+        {"quantity": quantity, "operands": [sets[k][0] for k in operands], "re": v.real, "im": v.imag}
+        for quantity, operands, v in measure_rows(state, [ids for _, ids in sets])
+    ]
+    _emit(args, {"rows": rows}, lambda: _table("quantity\toperands\tre\tim", (r.values() for r in rows)))
     return 0
 
 
@@ -207,43 +196,21 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         h = hamiltonian_from_element(elem, g, state.rep)
     times = parse_grid(*args.grid)
     trace = evolve(h, state, times, bipartition=args.bipartition)
-    rows = []
-    for i, t in enumerate(trace.times):
-        row: dict[str, Any] = {"t": float(t), "residual": float(trace.norm_residuals[i])}
-        if trace.schmidt is not None:
-            row["entropy"] = trace.schmidt[i].entropy
-            row["rank"] = trace.schmidt[i].rank
-        rows.append(row)
+    rows: list[dict[str, Any]] = [{"t": float(t), "residual": float(r)} for t, r in zip(trace.times, trace.norm_residuals)]
+    columns = ["t", "residual"]
     if trace.schmidt is not None:
-        lines = ["t\tentropy\trank\tresidual"]
-        lines += [f"{r['t']!r}\t{r['entropy']!r}\t{r['rank']}\t{r['residual']!r}" for r in rows]
-    else:
-        lines = ["t\tresidual"]
-        lines += [f"{r['t']!r}\t{r['residual']!r}" for r in rows]
-    _emit(args, {"rows": rows}, "\n".join(lines))
+        columns = ["t", "entropy", "rank", "residual"]
+        for row, sd in zip(rows, trace.schmidt):
+            row.update(entropy=sd.entropy, rank=sd.rank)
+    _emit(args, {"rows": rows}, lambda: _table("\t".join(columns), ([r[c] for c in columns] for r in rows)))
     return 0
 
 
 def _theorem_text(report: TheoremReport) -> str:
-    lines = ["trial\tsupport\tratio\toffblock\tentropy\tonset\tok"]
-    for t in report.trials:
-        cells = [
-            str(t.index),
-            str(t.support_size),
-            "" if t.max_ratio is None else repr(t.max_ratio),
-            "" if t.max_offblock is None else repr(t.max_offblock),
-            "" if t.max_entropy is None else repr(t.max_entropy),
-            "" if t.onset_time is None else repr(t.onset_time),
-            str(t.ok).lower(),
-        ]
-        lines.append("\t".join(cells))
-    summary = (
-        f"SUMMARY\tmode={report.mode}\tpassed={str(report.passed).lower()}\tvacuous={str(report.vacuous).lower()}"
-        f"\tworst_ratio={report.worst_ratio!r}\tworst_offblock={report.worst_offblock!r}"
-        f"\tfraction_entangled={report.fraction_entangled!r}\tmax_entropy={report.max_entropy!r}"
-    )
-    lines.append(summary)
-    return "\n".join(lines)
+    trials = _table("trial\tsupport\tratio\toffblock\tentropy\tonset\tok", (t.to_dict().values() for t in report.trials))
+    summary = ("mode", "passed", "vacuous", "worst_ratio", "worst_offblock", "fraction_entangled", "max_entropy",
+               "vacuous_reason")
+    return trials + "\nSUMMARY\t" + "\t".join(f"{k}={_cell(getattr(report, k))}" for k in summary)
 
 
 def cmd_theorem(args: argparse.Namespace) -> int:
@@ -254,7 +221,7 @@ def cmd_theorem(args: argparse.Namespace) -> int:
         report = separability_theorem_check(ga, gb, **common)
     else:
         report = entanglement_counterexample(ga, gb, **common)
-    _emit(args, report.to_dict(), _theorem_text(report))
+    _emit(args, report.to_dict(), lambda: _theorem_text(report))
     if report.mode == "separability" and not report.passed:
         return 2
     return 0

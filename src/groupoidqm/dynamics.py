@@ -363,6 +363,7 @@ class TheoremReport:
     entropy_threshold: float
     min_fraction: float
     trials: tuple[TrialRecord, ...]
+    objects_a: int  # d_A, the first factor's object count
 
     @property
     def worst_ratio(self) -> float:
@@ -384,12 +385,21 @@ class TheoremReport:
         return hits / len(self.trials)
 
     @property
-    def vacuous(self) -> bool:  # no trial ran, so `passed` holds for want of evidence
-        return not self.trials
+    def vacuous_reason(self) -> str | None:
+        """Why the report can show nothing, or None."""
+        if not self.trials:  # `passed` then holds for want of evidence
+            return "no trial ran"
+        if self.objects_a == 1:
+            return "the first factor has one object, so every state of the product is a product state"
+        return None
+
+    @property
+    def vacuous(self) -> bool:
+        return self.vacuous_reason is not None
 
     @property
     def passed(self) -> bool:
-        if self.vacuous:
+        if not self.trials:
             return True
         if self.mode == "separability":
             return all(t.ok for t in self.trials)
@@ -409,6 +419,7 @@ class TheoremReport:
             "min_fraction": self.min_fraction,
             "passed": self.passed,
             "vacuous": self.vacuous,
+            "vacuous_reason": self.vacuous_reason,
             "worst_ratio": self.worst_ratio,
             "worst_offblock": self.worst_offblock,
             "max_entropy": self.max_entropy,
@@ -526,6 +537,7 @@ def separability_theorem_check(
         entropy_threshold=0.0,
         min_fraction=0.0,
         trials=tuple(records),
+        objects_a=da,
     )
 
 
@@ -570,4 +582,5 @@ def entanglement_counterexample(
         entropy_threshold=entropy_threshold,
         min_fraction=min_fraction,
         trials=tuple(records),
+        objects_a=da,
     )

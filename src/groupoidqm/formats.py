@@ -27,6 +27,7 @@ import cmath
 import itertools
 import json
 from importlib.resources import files
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "dump_operator",
     "load_operator",
     "read_json",
+    "dump_json",
     "parse_complex_matrix",
     "fixture_path",
 ]
@@ -279,6 +281,37 @@ def read_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise FormatError(path, [f"line {e.lineno}: invalid JSON: {e.msg}"]) from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit, or undecodable bytes
+        raise FormatError(path, [f"invalid JSON: {e}"]) from None
+
+
+def _scalar_json(v: Any) -> str:
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or isinstance(v, bool):
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return float.__repr__(v) if v - v == 0.0 else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def dump_json(value: Any, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, without json's pure-Python encoder.
+
+    Strings go through json's C escaper and floats through ``float.__repr__``, as json writes them.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _scalar_json(k))}: {dump_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [dump_json(v, inner) for v in value]
+    else:
+        return _scalar_json(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}" if items else brackets
 
 
 def parse_complex_matrix(raw: Any, origin: str, what: str) -> np.ndarray:

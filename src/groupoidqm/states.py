@@ -4,16 +4,21 @@ A state assigns a complex amplitude to every transition; positivity is
 the statement that the per-target Gram matrices of those amplitudes are
 positive semidefinite.  States come from density matrices in a chosen
 representation, from raw amplitude tables, or from multiplicative phase
-assignments (characters).
+assignments (characters).  Both positivity tests, of a density and of
+the per-target Gram matrices, accept on one Cholesky certificate and
+otherwise leave the verdict to ``eigvalsh``.
 
-On top of a state sit the pairwise functional over history sets, the
-induced measure, and the two- and three-set interference terms.  The
-three-set term vanishes identically; that is the pairwise nature of the
-whole construction and is pinned by tests.
+On top of a state sit the pairwise functional D over history sets, the
+induced measure μ and the two- and three-set interference terms, all
+summed from one Gram matrix G[u, v] = φ(u⁻¹∘v) over the union of the
+sets.  Every μ, each union's included, is its own block sum, so the
+vanishing three-set term, the pairwise nature of the whole construction,
+stays a measurement; tests pin it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -33,11 +38,14 @@ __all__ = [
     "decoherence_functional",
     "quantum_measure",
     "interference",
+    "measure_rows",
     "is_factorizable",
     "amplitude",
 ]
 
 STATE_TOL = 1e-10
+# union indicator entries gathered at a time: μ of C(k, 3) triples would otherwise hold k³·|U| floats at once
+UNION_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,29 @@ class StateFn:
         return sum(c * self.phi[i] for i, c in a.coeffs.items())
 
 
+def _least_eigenvalues(h: np.ndarray, tol: float) -> np.ndarray:
+    """λ_min of each Hermitian matrix in the stack ``h``, or +inf where a Cholesky certificate proves λ_min > −tol.
+
+    The certificate factors A = H + (tol − δ)·I with δ = (d+1)·d·ε·(‖H‖_F + √d·tol) ≥ (d+1)·d·ε·‖A‖_F,
+    for d×d matrices and the Frobenius norm ‖H‖_F of the whole stack.  A completed factorization gives
+    R*R = A + E + ΔA, with ‖E‖ ≤ ε·‖A‖_F from storing A and |ΔA| ≤ √2·γ_{d+2}·|R*||R| (Higham, Accuracy
+    and Stability of Numerical Algorithms, §3.6 and §10.1); ‖R‖_F² = tr(A + E + ΔA) ≤ √d·(‖A‖_F +
+    ‖E + ΔA‖_F) then bounds ‖E + ΔA‖ below δ for d ≥ 2 (for d = 1 only the sign of the stored diagonal
+    counts, exactly).  R*R is PSD, so λ_min(H) > −(tol − δ) − δ = −tol.  The shift gives singular PSD
+    matrices, such as pure densities, a factor.  When the factorization fails, δ ≥ tol or a NaN is
+    present, ``eigvalsh`` decides.
+    """
+    d = h.shape[-1]
+    delta = (d + 1) * d * np.finfo(float).eps * (np.sqrt(np.vdot(h, h).real) + np.sqrt(d) * tol)
+    if delta < tol:
+        try:
+            np.linalg.cholesky(h + (tol - delta) * np.eye(d))
+            return np.full(h.shape[:-2], np.inf)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.eigvalsh(h)[..., 0]
+
+
 def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
     """Check an amplitude array indexed by transition id; a NaN fails every check it meets."""
     units = phi[[g.unit(x) for x in range(g.n_objects)]].tolist()
@@ -80,7 +111,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
     if asymmetric.size:
         raise ValueError(f"amplitudes break conjugation symmetry at transition {asymmetric[0]}")
     # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD;
-    # objects with equally many incoming transitions share one stacked eigvalsh
+    # objects with equally many incoming transitions share one stacked check
     incoming = np.argsort(g.target, kind="stable")
     sizes = np.bincount(g.target, minlength=g.n_objects)
     starts = np.cumsum(sizes) - sizes
@@ -92,7 +123,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
         missing = (composite < 0).any(axis=(1, 2))
         gram = phi[composite]
         gram = (gram + gram.conj().transpose(0, 2, 1)) / 2.0
-        bad = np.flatnonzero(missing | ~(np.linalg.eigvalsh(gram)[:, 0] >= -tol))
+        bad = np.flatnonzero(missing | ~(_least_eigenvalues(gram, tol) >= -tol))
         if bad.size:
             failures.append((int(objects[bad[0]]), bool(missing[bad[0]])))
     if failures:
@@ -125,7 +156,7 @@ def state_from_density(
         raise ValueError(f"density matrix shape {rho.shape} does not match representation dimension {dim}")
     if _exceeds(rho - rho.conj().T, tol):
         raise ValueError("density matrix is not self-adjoint")
-    eigmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    eigmin = float(_least_eigenvalues((rho + rho.conj().T) / 2.0, tol))
     if not eigmin >= -tol:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {eigmin:.3e})")
     tr = complex(np.trace(rho))
@@ -196,18 +227,68 @@ def _check_history_set(g: Groupoid, a: Iterable[int]) -> np.ndarray:
     return out
 
 
-def _functional(s: StateFn, sa: np.ndarray, sb: np.ndarray) -> complex:
-    """D over two checked history sets: one gather of phi(a^-1 ∘ b) over all pairs."""
-    g = s.groupoid
-    composite = g.table[g.inverse_table[sa][:, None], sb[None, :]]
-    return complex(s._amplitudes[composite[composite >= 0]].sum())
+def _gram_sums(s: StateFn, sets: Sequence[np.ndarray]) -> tuple[np.ndarray, dict[tuple[int, ...], complex]]:
+    """The Gram kernel: D over every pair of the checked ``sets``, and unguarded μ of every union of 1–3 disjoint ones.
+
+    G[u, v] = φ(u⁻¹∘v) is gathered once over the union U of the sets, 0 where the pair does not compose.
+    D(sets[i], sets[j]) sums G over sets[i] × sets[j]; the μ of a union, keyed by its set indices, sums G
+    over its own whole block, never assembled from D or from its parts' numbers.
+    """
+    member = np.zeros((len(sets), s.groupoid.n_transitions))
+    for k, ids in enumerate(sets):
+        member[k, ids] = 1.0
+    union = np.flatnonzero(member.any(axis=0))
+    member = member[:, union]  # 0/1 indicator rows over U
+    composite = s.groupoid.table[s.groupoid.inverse_table[union][:, None], union]
+    gram = np.where(composite >= 0, s._amplitudes[composite], 0)
+    # overlaps and union rows without a float matmul, whose BLAS code would add to peak RSS
+    apart = (np.einsum("iu,ju->ij", member, member) == 0).tolist()
+    unions = [x for r in (1, 2, 3) for x in itertools.combinations(range(len(sets)), r)
+              if all(apart[i][j] for i, j in itertools.combinations(x, 2))]
+    parts = np.array([x + (len(sets),) * (3 - len(x)) for x in unions], dtype=np.intp).reshape(-1, 3)
+    padded = np.vstack([member, np.zeros((1, len(union)))])  # the last row pads short unions
+    step = max(1, UNION_CHUNK_ENTRIES // (3 * len(union) + 1))
+    mu = [np.zeros(0)]
+    for i in range(0, len(parts), step):
+        indicator = padded[parts[i:i + step]].sum(axis=1)
+        mu.append(((indicator @ gram) * indicator).sum(axis=1))
+    return member @ gram @ member.T, dict(zip(unions, np.concatenate(mu).tolist()))
 
 
-def _measure(s: StateFn, sa: np.ndarray) -> float:
-    d = _functional(s, sa, sa)
-    if not abs(d.imag) <= 1e-12 * max(1.0, abs(d)):
-        raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
-    return float(d.real)
+def _real(mu: complex) -> float:
+    if not abs(mu.imag) <= 1e-12 * max(1.0, abs(mu)):
+        raise RuntimeError(f"measure came out non-real: imaginary part {mu.imag:.3e}")
+    return mu.real
+
+
+def _interference(mu: dict[tuple[int, ...], complex], parts: tuple[int, ...]) -> float:
+    """Σ (−1)^(n−|x|) μ(x) over the non-empty x ⊆ ``parts``, the whole union first; each μ is guarded as it is read."""
+    value = 0.0
+    for r in range(len(parts), 0, -1):
+        for x in itertools.combinations(parts, r):
+            value += (-1) ** (len(parts) - r) * _real(mu[x])
+    return value
+
+
+def measure_rows(s: StateFn, sets: Sequence[Iterable[int]]) -> list[tuple[str, tuple[int, ...], complex]]:
+    """Every row of ``measure`` as (quantity, operand indices, value), from one Gram matrix.
+
+    The rows are μ of each set; for each pair, D and, when the pair is disjoint, I2; then I3 for each
+    pairwise disjoint triple.  Errors come in row order: an out-of-range id at its set's μ row, a
+    non-real μ at the first row that reads it.
+    """
+    checked: list[np.ndarray] = []
+    try:
+        for a in sets:
+            checked.append(_check_history_set(s.groupoid, a))
+    finally:  # the μ rows before an out-of-range set run first, and may fail first
+        d, mu = _gram_sums(s, checked)
+        rows = [("mu", (k,), complex(_real(mu[(k,)]))) for k in range(len(checked))]
+    for pair in itertools.combinations(range(len(checked)), 2):
+        rows.append(("D", pair, complex(d[pair])))
+        if pair in mu:
+            rows.append(("I2", pair, complex(_interference(mu, pair))))
+    return rows + [("I3", x, complex(_interference(mu, x))) for x in mu if len(x) == 3]
 
 
 def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> complex:
@@ -218,42 +299,29 @@ def decoherence_functional(s: StateFn, a: Iterable[int], b: Iterable[int]) -> co
     interact.
     """
     g = s.groupoid
-    return _functional(s, _check_history_set(g, a), _check_history_set(g, b))
+    return complex(_gram_sums(s, [_check_history_set(g, a), _check_history_set(g, b)])[0][0, 1])
 
 
 def quantum_measure(s: StateFn, a: Iterable[int]) -> float:
     """Diagonal of the pairwise functional; real by conjugation symmetry."""
-    return _measure(s, _check_history_set(s.groupoid, a))
+    return _real(_gram_sums(s, [_check_history_set(s.groupoid, a)])[1][(0,)])
 
 
 def interference(s: StateFn, *sets: Iterable[int]) -> float:
     """Deviation of the measure from additivity on disjoint sets.
 
-    Two sets give the pair interference; three sets give the triple
-    term, which vanishes identically for states of this pairwise kind.
-    Every measure, the unions' included, is its own gather over the
-    whole set; none is assembled from the parts' numbers.
+    Two sets give the pair interference μ(a∪b) − μ(a) − μ(b); three sets give the triple
+    term, which vanishes for states of this pairwise kind.  Every μ, each union's included,
+    is its own sum over the union's whole block of the Gram matrix, never assembled from D
+    or from the parts' numbers, so I3 ≈ 0 stays a measurement and not an identity.
     """
     g = s.groupoid
     families = [_check_history_set(g, a) for a in sets]
     if families and np.bincount(np.concatenate(families), minlength=1).max() > 1:
         raise ValueError("interference terms need pairwise disjoint history sets")
-    def mu(*parts: np.ndarray) -> float:
-        member = np.zeros(g.n_transitions, dtype=bool)
-        for part in parts:
-            member[part] = True
-        return _measure(s, np.flatnonzero(member))
-    if len(families) == 2:
-        a, b = families
-        return mu(a, b) - mu(a) - mu(b)
-    if len(families) == 3:
-        a, b, c = families
-        return (
-            mu(a, b, c)
-            - mu(a, b) - mu(a, c) - mu(b, c)
-            + mu(a) + mu(b) + mu(c)
-        )
-    raise ValueError("interference is defined for two or three history sets")
+    if len(families) not in (2, 3):
+        raise ValueError("interference is defined for two or three history sets")
+    return _interference(_gram_sums(s, families)[1], tuple(range(len(families))))
 
 
 def is_factorizable(s: StateFn, tol: float = 1e-9) -> tuple[bool, float]:

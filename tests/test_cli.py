@@ -310,6 +310,14 @@ def test_measure_rejects_integers_too_large_for_a_float(capsys, tmp_path, state,
     assert str(path) in err and where in err
 
 
+def test_measure_names_the_file_for_an_integer_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.state"
+    path.write_text('{"phi": [{"transition_id": 0, "re": 1%s}]}\n' % ("0" * 4400))
+    code, out, err = run(capsys, "measure", CAT, "--state", str(path), "--sets", SETS)
+    assert code == 1 and out == ""
+    assert str(path) in err and "invalid JSON" in err and "Traceback" not in err
+
+
 def test_evolve_rejects_a_hamiltonian_coefficient_too_large_for_a_float(capsys, tmp_path):
     path = tmp_path / "huge.element"
     path.write_text('{"terms": [{"transition_id": 1, "re": 1.0}, {"transition_id": 2, "re": %s}]}\n' % HUGE)
@@ -448,6 +456,26 @@ def test_theorem_vacuous_only_without_trials(capsys, pair, fmt):
             assert json.loads(out)["vacuous"] is vacuous
         else:
             assert f"vacuous={str(vacuous).lower()}" in table(out)[1][-1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_theorem_over_a_one_object_first_factor_is_vacuous(capsys, fmt):
+    code, out, _ = run(capsys, "theorem", S3, QCAT, "--trials", "2", "--grid", "0:2:3", "--format", fmt)
+    assert code == 0
+    reason = "the first factor has one object, so every state of the product is a product state"
+    if fmt == "structured":
+        payload = json.loads(out)
+        assert payload["passed"] is True and payload["vacuous"] is True
+        assert payload["vacuous_reason"] == reason
+    else:
+        summary = table(out)[1][-1]
+        assert "vacuous=true" in summary and f"vacuous_reason={reason}" in summary
+
+
+def test_theorem_vacuous_reason_is_null_when_trials_ran(capsys):
+    for pair, trials, reason in (((CAT, QCAT), "1", None), ((CAT, QCAT), "0", "no trial ran")):
+        code, out, _ = run(capsys, "theorem", *pair, "--trials", trials, "--grid", "0:2:3", "--format", "structured")
+        assert code == 0 and json.loads(out)["vacuous_reason"] == reason
 
 
 @pytest.mark.parametrize(

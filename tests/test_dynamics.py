@@ -400,6 +400,15 @@ def test_reports_are_identical_across_job_counts():
         assert check(ga, pair_groupoid(2), trials=0, grid=QUICK_GRID, jobs=3).vacuous
 
 
+def test_a_one_object_first_factor_makes_the_separability_report_vacuous():
+    # d_A = 1: every state of the product is a product state, so the trials cannot show separability
+    report = separability_theorem_check(symmetric_group(3), pair_groupoid(2), trials=3, grid=QUICK_GRID)
+    assert report.passed and report.vacuous and "one object" in report.vacuous_reason
+    assert report.to_dict()["vacuous_reason"] == report.vacuous_reason
+    disconnected = separability_theorem_check(discrete_groupoid(2), pair_groupoid(2), trials=3, grid=QUICK_GRID)
+    assert not disconnected.vacuous and disconnected.vacuous_reason is None
+
+
 def test_trial_chunks_are_bounded(monkeypatch):
     assert [c.tolist() for c in dynamics._chunks(5, 2, 10)] == [[0, 1, 2], [3, 4]]
     assert [c.size for c in dynamics._chunks(7, 7 + 3, 10)] == [1] * 7

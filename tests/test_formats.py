@@ -36,7 +36,7 @@ from groupoidqm import (
     symmetric_group,
     validate,
 )
-from groupoidqm.formats import parse_complex_matrix, read_json
+from groupoidqm.formats import dump_json, parse_complex_matrix, read_json
 
 VALID_TEXT = """\
 # two outcomes, one connecting transition each way
@@ -357,6 +357,52 @@ def test_read_json_reports_the_broken_line(tmp_path):
     path.write_text('{\n "a": 1,\n}')
     with pytest.raises(FormatError, match="line 3"):
         read_json(str(path))
+
+
+def test_read_json_names_the_file_for_an_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"re": 1%s}\n' % ("0" * 4400))
+    with pytest.raises(FormatError) as info:
+        read_json(str(path))
+    assert info.value.origin == str(path) and "invalid JSON" in info.value.problems[0]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=30,
+    )
+)
+def test_dump_json_matches_json_dumps_byte_for_byte(payload):
+    assert dump_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_dump_json_matches_json_dumps_on_subclasses_and_keys():
+    payload = {
+        "np": [np.float64(1.5), np.float64("nan"), True, None],
+        "keys": {"b": 1, "a": {"": [], "é\u2028\x00": {}}},
+        "int_keys": {2: "x", 1: "y"},
+        "float_keys": {1.5: 0, -0.5: 1},
+        "other_keys": {True: "t"},
+        "none_key": {None: 1},
+    }
+    assert dump_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dump_json({"x": {1, 2}})
 
 
 def test_parse_complex_matrix_shapes():

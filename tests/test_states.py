@@ -1,12 +1,15 @@
 """States, decoherence functionals, quantum measures and interference."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groupoidqm import (
+    StateFn,
     amplitude,
     classical_distribution,
     cyclic_group,
@@ -22,15 +25,26 @@ from groupoidqm import (
     state_from_phi,
     state_from_transition_phases,
 )
+from groupoidqm import states
+from groupoidqm.states import _check_history_set, _least_eigenvalues, measure_rows
 
-from conftest import random_density
+from conftest import random_density, random_groupoids
 
-GROUPOIDS = [
+# fixed cases, run as explicit examples of the drawn groupoids
+FIXED_GROUPOIDS = [
     pair_groupoid(2),
     pair_groupoid(3),
     cyclic_group(4),
     disjoint_union([cyclic_group(2), pair_groupoid(2)]),
 ]
+
+
+def on_groupoids(test):
+    """Run ``test(g, seed)`` on drawn groupoids, with every fixed case as an explicit example."""
+    test = given(random_groupoids(max_transitions=36), st.integers(0, 2**31 - 1))(test)
+    for g in FIXED_GROUPOIDS:
+        test = example(g, 0)(test)
+    return settings(deadline=None, max_examples=30)(test)
 
 
 def superposition_state():
@@ -45,9 +59,9 @@ def random_state(g, rng):
 
 
 def random_partition(g, rng, parts):
-    ids = rng.permutation(g.n_transitions)
-    cuts = sorted(rng.choice(np.arange(1, g.n_transitions), size=parts - 1, replace=False))
-    return [set(int(i) for i in chunk) for chunk in np.split(ids, cuts)]
+    """``parts`` disjoint history sets covering every transition; some may be empty."""
+    labels = rng.integers(parts, size=g.n_transitions)
+    return [set(np.flatnonzero(labels == k).tolist()) for k in range(parts)]
 
 
 # -- construction and validation ----------------------------------------------
@@ -204,8 +218,7 @@ def test_decoherence_functional_rejects_foreign_ids():
         decoherence_functional(s, {0}, {9})
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.sampled_from(GROUPOIDS), st.integers(0, 2**31 - 1))
+@on_groupoids
 def test_decoherence_functional_is_hermitian(g, seed):
     rng = np.random.default_rng(seed)
     s = random_state(g, rng)
@@ -215,8 +228,7 @@ def test_decoherence_functional_is_hermitian(g, seed):
     assert dab == pytest.approx(np.conj(dba))
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.sampled_from(GROUPOIDS), st.integers(0, 2**31 - 1))
+@on_groupoids
 def test_decoherence_functional_is_biadditive(g, seed):
     rng = np.random.default_rng(seed)
     s = random_state(g, rng)
@@ -226,8 +238,7 @@ def test_decoherence_functional_is_biadditive(g, seed):
     assert whole == pytest.approx(split)
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.sampled_from(GROUPOIDS), st.integers(0, 2**31 - 1))
+@on_groupoids
 def test_measures_are_real_and_diagonal_nonnegative(g, seed):
     rng = np.random.default_rng(seed)
     s = random_state(g, rng)
@@ -236,8 +247,7 @@ def test_measures_are_real_and_diagonal_nonnegative(g, seed):
     assert mu >= -1e-10
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.sampled_from(GROUPOIDS), st.integers(0, 2**31 - 1))
+@on_groupoids
 def test_pair_interference_matches_cross_terms(g, seed):
     rng = np.random.default_rng(seed)
     s = random_state(g, rng)
@@ -268,3 +278,253 @@ def test_amplitude_checks_object_range():
     _, s = superposition_state()
     with pytest.raises(ValueError, match="out of range"):
         amplitude(s, 0, 5)
+
+
+# -- the Gram kernel against the per-gather route ---------------------------------
+
+
+def _reference_functional(s, sa, sb):
+    g = s.groupoid
+    composite = g.table[g.inverse_table[sa][:, None], sb[None, :]]
+    return complex(s._amplitudes[composite[composite >= 0]].sum())
+
+
+def _reference_measure(s, sa):
+    d = _reference_functional(s, sa, sa)
+    if not abs(d.imag) <= 1e-12 * max(1.0, abs(d)):
+        raise RuntimeError(f"measure came out non-real: imaginary part {d.imag:.3e}")
+    return float(d.real)
+
+
+def _reference_interference(s, *sets):
+    g = s.groupoid
+    families = [_check_history_set(g, a) for a in sets]
+    if families and np.bincount(np.concatenate(families), minlength=1).max() > 1:
+        raise ValueError("interference terms need pairwise disjoint history sets")
+
+    def mu(*parts):
+        member = np.zeros(g.n_transitions, dtype=bool)
+        for part in parts:
+            member[part] = True
+        return _reference_measure(s, np.flatnonzero(member))
+
+    if len(families) == 2:
+        a, b = families
+        return mu(a, b) - mu(a) - mu(b)
+    if len(families) == 3:
+        a, b, c = families
+        return mu(a, b, c) - mu(a, b) - mu(a, c) - mu(b, c) + mu(a) + mu(b) + mu(c)
+    raise ValueError("interference is defined for two or three history sets")
+
+
+def reference_rows(s, sets):
+    """The ``measure`` rows by one gather per D and per μ, as the command computed them before the Gram kernel."""
+    g = s.groupoid
+    rows = [("mu", (k,), complex(_reference_measure(s, _check_history_set(g, a)))) for k, a in enumerate(sets)]
+    for (i, a), (j, b) in combinations(enumerate(sets), 2):
+        rows.append(("D", (i, j), _reference_functional(s, _check_history_set(g, a), _check_history_set(g, b))))
+        if not set(a) & set(b):
+            rows.append(("I2", (i, j), complex(_reference_interference(s, a, b))))
+    for (i, a), (j, b), (k, c) in combinations(enumerate(sets), 3):
+        if not (set(a) & set(b) or set(a) & set(c) or set(b) & set(c)):
+            rows.append(("I3", (i, j, k), complex(_reference_interference(s, a, b, c))))
+    return rows
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except (ValueError, RuntimeError) as e:
+        return None, e
+
+
+def _close(x, y):
+    return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+def _assert_same_outcome(got, want):
+    """Equal rows (values within 1e-12) or a scalar within 1e-12, or the same error."""
+    (value, error), (ref_value, ref_error) = got, want
+    assert type(error) is type(ref_error)
+    if ref_error is None:
+        if isinstance(ref_value, list):
+            assert [r[:2] for r in value] == [r[:2] for r in ref_value]
+            assert all(_close(r[2], q[2]) for r, q in zip(value, ref_value)), (value, ref_value)
+        else:
+            assert _close(value, ref_value)
+    elif isinstance(ref_error, RuntimeError):  # the printed imaginary part may round differently in its last digit
+        head, _, number = str(error).rpartition(" ")
+        ref_head, _, ref_number = str(ref_error).rpartition(" ")
+        assert head == ref_head and float(number) == pytest.approx(float(ref_number), rel=2e-3, abs=1e-300)
+    else:
+        assert str(error) == str(ref_error)
+
+
+def _drawn_state(g, kind, rng):
+    n = g.n_transitions
+    if kind == "pure":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return pure_state(v / np.linalg.norm(v), g)
+    if kind == "mixed":
+        return random_state(g, rng)
+    # unvalidated amplitude tables: real ones keep every μ real, complex ones make μ non-real
+    phi = rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "raw-complex" else 0.0)
+    return StateFn(g, dict(enumerate(phi.tolist())))
+
+
+def _drawn_sets(g, count, rng):
+    """``count`` history sets: mostly disjoint, some overlapping, empty, with duplicate ids or an id out of range."""
+    n = g.n_transitions
+    labels = rng.integers(count + 1, size=n)
+    sets = [np.flatnonzero(labels == k).tolist() for k in range(count)]
+    for ids in sets:
+        if rng.random() < 0.3:
+            ids += rng.choice(n, size=int(rng.integers(1, 3))).tolist()
+        if rng.random() < 0.15:
+            ids.clear()
+        if rng.random() < 0.05:
+            ids.append(int(rng.choice([-1, n, n + 3])))
+        rng.shuffle(ids)
+    return sets
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    random_groupoids(max_transitions=36),
+    st.sampled_from(["pure", "mixed", "raw-real", "raw-complex"]),
+    st.integers(0, 7),
+    st.integers(0, 2**31 - 1),
+)
+def test_gram_kernel_equals_the_per_gather_route(g, kind, count, seed):
+    rng = np.random.default_rng(seed)
+    s = _drawn_state(g, kind, rng)
+    sets = _drawn_sets(g, count, rng)
+    _assert_same_outcome(_outcome(measure_rows, s, sets), _outcome(reference_rows, s, sets))
+    _assert_same_outcome(_outcome(interference, s, *sets[:3]), _outcome(_reference_interference, s, *sets[:3]))
+    for a in sets[:2]:
+        want = _outcome(lambda: _reference_measure(s, _check_history_set(g, a)))
+        _assert_same_outcome(_outcome(quantum_measure, s, a), want)
+    if len(sets) >= 2:
+        a, b = sets[:2]
+        want = _outcome(lambda: _reference_functional(s, _check_history_set(g, a), _check_history_set(g, b)))
+        _assert_same_outcome(_outcome(decoherence_functional, s, a, b), want)
+
+
+def test_measure_rows_are_the_same_in_chunks_of_one_union(monkeypatch):
+    g = pair_groupoid(3)
+    s = random_state(g, np.random.default_rng(3))
+    sets = [[0, 1], [2], [3, 4], [5, 6], [7], [8]]
+    whole = measure_rows(s, sets)
+    monkeypatch.setattr(states, "UNION_CHUNK_ENTRIES", 1)
+    chunked = measure_rows(s, sets)
+    assert [r[:2] for r in chunked] == [r[:2] for r in whole]
+    assert all(_close(r[2], q[2]) for r, q in zip(chunked, whole))
+    assert [r[:2] for r in whole] == [r[:2] for r in reference_rows(s, sets)]
+
+
+def test_measure_rows_on_no_sets_and_empty_sets():
+    _, s = superposition_state()
+    assert measure_rows(s, []) == []
+    rows = measure_rows(s, [[], [0]])
+    assert [r[:2] for r in rows] == [("mu", (0,)), ("mu", (1,)), ("D", (0, 1)), ("I2", (0, 1))]
+    assert rows[0][2] == 0 and rows[2][2] == 0 and rows[3][2] == 0
+
+
+def test_measure_rows_raise_in_row_order():
+    g = pair_groupoid(2)
+    s = StateFn(g, {t: 1j for t in range(4)})  # every non-empty μ is non-real
+    with pytest.raises(RuntimeError, match="non-real"):  # the μ row of set 0 comes before set 1's range check
+        measure_rows(s, [[0], [9]])
+    with pytest.raises(ValueError, match="transition id 9 does not belong"):
+        measure_rows(s, [[], [9], [0]])
+
+
+def _block_measure(s, ids):
+    """μ(ids) as the explicit double sum of φ(u⁻¹∘v) over the whole block."""
+    g = s.groupoid
+    pairs = [(g.inverse_table[u], v) for u in ids for v in ids]
+    return sum(s.phi[int(g.table[a, b])] for a, b in pairs if g.table[a, b] >= 0)
+
+
+def test_union_measures_are_their_own_block_sums():
+    # a real amplitude table that is not conjugate-symmetric: D(a, b) and D(b, a) differ, so a union's μ
+    # assembled as μ(a) + μ(b) + 2 Re D(a, b) would miss μ(a ∪ b) by D(b, a) − D(a, b)
+    g = pair_groupoid(3)
+    rng = np.random.default_rng(5)
+    s = StateFn(g, dict(enumerate(rng.standard_normal(g.n_transitions).tolist())))
+    a, b, c = [0, 4], [1, 5, 8], [2, 7]
+    i2 = interference(s, a, b)
+    assert i2 == pytest.approx(_block_measure(s, a + b) - _block_measure(s, a) - _block_measure(s, b), abs=1e-12)
+    assert abs(i2 - 2.0 * decoherence_functional(s, a, b).real) > 0.1
+    rows = {r[:2]: r[2] for r in measure_rows(s, [a, b, c])}
+    for x, y in combinations(range(3), 2):
+        sx, sy = [a, b, c][x], [a, b, c][y]
+        want = _block_measure(s, sx + sy) - _block_measure(s, sx) - _block_measure(s, sy)
+        assert rows[("I2", (x, y))] == pytest.approx(want, abs=1e-12)
+    assert rows[("I3", (0, 1, 2))] == pytest.approx(0.0, abs=1e-12)
+
+
+# -- the positivity certificate ---------------------------------------------------
+
+
+def _hermitian_with_spectrum(rng, spectrum):
+    d = len(spectrum)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h = (q * np.asarray(spectrum)) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [2, 8, 12])
+def test_certificate_accepts_rank_deficient_densities(n):
+    rng = np.random.default_rng(n)
+    g = pair_groupoid(n)
+    d = g.n_transitions
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    rank_two = _hermitian_with_spectrum(rng, [0.3, 0.7] + [0.0] * (d - 2))
+    for rho in (np.outer(v, v.conj()), rank_two):
+        assert _least_eigenvalues(rho, 1e-10) == np.inf  # accepted by the certificate, without eigvalsh
+        state_from_density(rho, g)
+    assert pure_state(v, g).vector is not None
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+@pytest.mark.parametrize("d", [1, 2, 9])
+def test_certificate_decides_the_boundary_as_eigvalsh(tol, factor, d):
+    rng = np.random.default_rng(d)
+    spectrum = [-tol * factor] + list(rng.uniform(0.0, 1.0, d - 1))
+    for h in (np.diag(np.asarray(spectrum, dtype=complex)), _hermitian_with_spectrum(rng, spectrum)):
+        accepted = _least_eigenvalues(h, tol) >= -tol
+        assert accepted == (np.linalg.eigvalsh(h)[0] >= -tol)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+def test_density_at_the_boundary_is_decided_with_its_eigenvalue(factor):
+    rho = np.diag([-1e-10 * factor, 0.5, 0.5 + 1e-10 * factor]).astype(complex)
+    if factor > 1:
+        with pytest.raises(ValueError, match=r"not positive semidefinite \(min eigenvalue -1\.000e-10\)"):
+            state_from_density(rho, pair_groupoid(3), "fundamental")
+    else:
+        assert state_from_density(rho, pair_groupoid(3), "fundamental").phi[0] == pytest.approx(-1e-10 * factor)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 4),
+    st.floats(0.0, 3.0) | st.floats(1 - 1e-5, 1 + 1e-5),
+    st.sampled_from([1e-12, 1e-10, 1e-9, 1e-6]),
+    st.integers(0, 2**31 - 1),
+)
+def test_certificate_never_accepts_below_minus_tol(d, stack, ratio, tol, seed):
+    rng = np.random.default_rng(seed)
+    # λ_min between 0 and −3·tol, often next to −tol; the other eigenvalues anywhere in [0, 1], some exactly 0
+    h = np.array([
+        _hermitian_with_spectrum(rng, [-ratio * tol] + list(rng.uniform(0, 1, d - 1) * (rng.random(d - 1) < 0.7)))
+        for _ in range(stack)
+    ])
+    least = _least_eigenvalues(h, tol)
+    exact = np.linalg.eigvalsh(h)[:, 0]
+    assert np.all((least == np.inf) <= (exact >= -tol))
+    assert np.all((least == np.inf) | (least == exact))
