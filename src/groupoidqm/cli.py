@@ -13,6 +13,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -79,14 +80,21 @@ def _grid_flag(raw: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _bipartition_flag(raw: str) -> tuple[int, int]:
-    parts = raw.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("bipartition must look like dimA:dimB")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("bipartition must look like dimA:dimB") from None
+def _checked_flag(parse: Callable[[str], Any], valid: Callable[[Any], bool], need: str) -> Callable[[str], Any]:
+    """An argparse type: what ``parse`` makes of the value, rejected unless ``valid``, saying what the flag needs."""
+    def flag(raw: str) -> Any:
+        with contextlib.suppress(ValueError):
+            if valid(value := parse(raw)):
+                return value
+        raise argparse.ArgumentTypeError(f"{need}, got {raw}")
+    return flag
+
+
+_bipartition_flag = _checked_flag(
+    lambda raw: tuple(map(int, raw.split(":"))), lambda v: len(v) == 2 and min(v) > 0,
+    "bipartition must look like dimA:dimB with positive dimensions")
+_seed_flag = _checked_flag(int, lambda v: v >= 0, "seed must be a non-negative integer")
+_tol_flag = _checked_flag(float, lambda v: math.isfinite(v) and v > 0, "tolerance must be a finite number above 0")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -240,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"), default="text")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    seeded.add_argument("--seed", type=_seed_flag, default=42, help="random seed, at least 0 (default 42)")
     tuned = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    tuned.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance override")
+    tuned.add_argument("--tol", type=_tol_flag, default=1e-9, help="numerical tolerance override, finite and above 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="check a groupoid file against all axioms")
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--hamiltonian", required=True, help="element or matrix file")
     p.add_argument("--grid", type=_grid_flag, default=DEFAULT_GRID, help="start:stop:steps, as --grid=-1:0:2 if negative")
-    p.add_argument("--bipartition", type=_bipartition_flag, default=None, help="dimA:dimB")
+    p.add_argument("--bipartition", type=_bipartition_flag, default=None, help="dimA:dimB, both at least 1")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("theorem", parents=[seeded], help="separability check or entanglement counterexample")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupoidqm import Groupoid, cyclic_group, direct_product, disjoint_union, group_groupoid, pair_groupoid, symmetric_group
@@ -73,6 +74,19 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def array_split_within_trials(monkeypatch):
+    """Fail at once, before any allocation, if ``np.array_split`` is asked for more sections than it has items."""
+    split = np.array_split
+
+    def checked(a, sections):
+        if sections > max(len(a), 1):
+            pytest.fail(f"array_split asked for {sections} sections of {len(a)} trials")
+        return split(a, sections)
+
+    monkeypatch.setattr(np, "array_split", checked)
 
 
 # -- random groupoids --------------------------------------------------------
@@ -150,6 +164,23 @@ def random_groupoids(draw, max_transitions: int = 72, pair_sizes: tuple[int, ...
         budget -= parts[-1].n_transitions
     g = parts[0] if len(parts) == 1 else disjoint_union(parts)
     return permute_transitions(g, draw(st.permutations(range(g.n_transitions))))
+
+
+def groupoid_cases(fixed, max_examples=100, draws=lambda g: st.integers(0, 2**31 - 1), example_of=lambda g: 0):
+    """Run ``test(g, x)`` on ``random_groupoids(max_transitions=36)``, ``x`` drawn from ``draws(g)``.
+
+    Each groupoid ``f`` of ``fixed`` is an explicit example ``(f, example_of(f))``.
+    By default ``x`` is a seed, and each fixed example has seed 0.
+    """
+
+    def decorate(test):
+        g = st.shared(random_groupoids(max_transitions=36), key="groupoid_cases")
+        test = given(g, g.flatmap(draws))(test)
+        for f in fixed:
+            test = example(f, example_of(f))(test)
+        return settings(deadline=None, max_examples=max_examples)(test)
+
+    return decorate
 
 
 @st.composite

@@ -34,6 +34,9 @@ from groupoidqm import (
 )
 from groupoidqm.algebra import _exceeds, _norms
 
+from conftest import groupoid_cases
+
+# fixed cases, run as explicit examples of the drawn groupoids
 GROUPOIDS = [
     pair_groupoid(2),
     pair_groupoid(3),
@@ -44,14 +47,23 @@ GROUPOIDS = [
     direct_product(pair_groupoid(2), cyclic_group(2)),
 ]
 
-groupoid_strategy = st.sampled_from(GROUPOIDS)
-
 
 def elements_of(g):
     coeff = st.tuples(
         st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False)
     ).map(lambda p: complex(*p))
     return st.dictionaries(st.integers(0, g.n_transitions - 1), coeff, max_size=4).map(AlgebraElement)
+
+
+def spread_elements(g):
+    """Three elements on every transition of ``g``, with unit coefficients of differing phases."""
+    t = np.arange(g.n_transitions)
+    return [AlgebraElement(dict(enumerate(np.exp(1j * (k + 1) * t)))) for k in range(3)]
+
+
+on_groupoids = groupoid_cases(
+    GROUPOIDS, draws=lambda g: st.lists(elements_of(g), min_size=3, max_size=3), example_of=spread_elements
+)
 
 
 # -- element arithmetic ------------------------------------------------------
@@ -97,40 +109,33 @@ def test_unit_element_sums_all_units():
     assert one == AlgebraElement({g.unit(0): 1.0, g.unit(1): 1.0})
 
 
-@settings(deadline=None)
-@given(groupoid_strategy, st.data())
-def test_unit_element_is_neutral(g, data):
-    a = data.draw(elements_of(g))
+@on_groupoids
+def test_unit_element_is_neutral(g, elements):
+    a = elements[0]
     one = unit_element(g)
     assert multiply(one, a, g) == a
     assert multiply(a, one, g) == a
 
 
-@settings(deadline=None)
-@given(groupoid_strategy, st.data())
-def test_multiply_is_associative(g, data):
-    a = data.draw(elements_of(g))
-    b = data.draw(elements_of(g))
-    c = data.draw(elements_of(g))
+@on_groupoids
+def test_multiply_is_associative(g, elements):
+    a, b, c = elements
     lhs = multiply(multiply(a, b, g), c, g)
     rhs = multiply(a, multiply(b, c, g), g)
     assert lhs.isclose(rhs, tol=1e-9)
 
 
-@settings(deadline=None)
-@given(groupoid_strategy, st.data())
-def test_involution_is_an_antihomomorphism(g, data):
-    a = data.draw(elements_of(g))
-    b = data.draw(elements_of(g))
+@on_groupoids
+def test_involution_is_an_antihomomorphism(g, elements):
+    a, b, _ = elements
     lhs = involution(multiply(a, b, g), g)
     rhs = multiply(involution(b, g), involution(a, g), g)
     assert lhs.isclose(rhs, tol=1e-9)
 
 
-@settings(deadline=None)
-@given(groupoid_strategy, st.data())
-def test_involution_is_involutive(g, data):
-    a = data.draw(elements_of(g))
+@on_groupoids
+def test_involution_is_involutive(g, elements):
+    a = elements[0]
     assert involution(involution(a, g), g) == a
 
 
@@ -168,17 +173,16 @@ def test_representation_matrix_rejects_unknown_rep():
         representation_matrix(AlgebraElement({0: 1.0}), cyclic_group(2), rep="spin")
 
 
-@settings(deadline=None)
-@given(groupoid_strategy, st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]), st.data())
-def test_representation_is_a_star_homomorphism(g, rep, data):
-    a = data.draw(elements_of(g))
-    b = data.draw(elements_of(g))
-    ma = representation_matrix(a, g, rep).matrix
-    mb = representation_matrix(b, g, rep).matrix
-    mab = representation_matrix(multiply(a, b, g), g, rep).matrix
-    assert_allclose(ma @ mb, mab, atol=1e-9)
-    mstar = representation_matrix(involution(a, g), g, rep).matrix
-    assert_allclose(mstar, ma.conj().T, atol=1e-12)
+@on_groupoids
+def test_representation_is_a_star_homomorphism(g, elements):
+    a, b, _ = elements
+    for rep in (LEFT_REGULAR, FUNDAMENTAL):
+        ma = representation_matrix(a, g, rep).matrix
+        mb = representation_matrix(b, g, rep).matrix
+        mab = representation_matrix(multiply(a, b, g), g, rep).matrix
+        assert_allclose(ma @ mb, mab, atol=1e-9)
+        mstar = representation_matrix(involution(a, g), g, rep).matrix
+        assert_allclose(mstar, ma.conj().T, atol=1e-12)
 
 
 def test_algebra_basis_matches_transition_count():

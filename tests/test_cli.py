@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from groupoidqm import pair_groupoid, state_from_phi
-from groupoidqm.cli import build_parser, main
+from groupoidqm.cli import _cell, build_parser, main
 from groupoidqm.formats import dump_state, fixture_path
 
 CAT = fixture_path("cat.groupoid")
@@ -510,6 +510,23 @@ def test_theorem_structured_stable_across_jobs(capsys):
         assert code == 0 and json.loads(out)["vacuous"] is True
 
 
+@pytest.mark.parametrize("pair", [(CAT, QCAT), (QCAT, QCAT)], ids=["separability", "entanglement"])
+def test_theorem_with_more_jobs_than_trials_returns_the_one_job_bytes(capsys, array_split_within_trials, pair):
+    argv = ["theorem", *pair, "--trials", "1", "--grid", "0:2:5"]
+    expected = run(capsys, *argv, "--jobs", "1")
+    assert run(capsys, *argv, "--jobs", "100000000") == expected
+
+
+@pytest.mark.parametrize("pair", [(CAT, QCAT), (QCAT, QCAT)], ids=["separability", "entanglement"])
+def test_theorem_text_columns_line_up_with_the_trial_records(capsys, pair):
+    argv = ["theorem", *pair, "--trials", "3", "--grid", "0:2:5"]
+    text, structured = run(capsys, *argv)[1], run(capsys, *argv, "--format", "structured")[1]
+    header, rows = table(text.split("\nSUMMARY")[0])
+    assert header == ["trial", "support", "ratio", "offblock", "entropy", "onset", "ok"]
+    keys = ["index", "support_size", "max_ratio", "max_offblock", "max_entropy", "onset_time", "ok"]
+    assert rows == [[_cell(t[k]) for k in keys] for t in json.loads(structured)["trials"]]
+
+
 def test_theorem_seed_changes_trials(capsys):
     argv = ["theorem", QCAT, QCAT, "--trials", "2", "--grid", "0:2:5", "--format", "structured"]
     _, first, _ = run(capsys, *argv, "--seed", "7")
@@ -582,6 +599,37 @@ def test_bad_bipartition_flag(capsys):
         main(["evolve", QCAT, "--state", DIAGONAL, "--hamiltonian", HOPPING,
               "--bipartition", "4"])
     assert "dimA:dimB" in capsys.readouterr().err
+
+
+def _rejected_at_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["classify", CAT], ["lattice", S3]], ids=["classify", "lattice"])
+def test_tol_must_be_finite_and_positive(capsys, argv, value):
+    _rejected_at_the_flag(capsys, [*argv, "--tol", value], "--tol")
+    assert run(capsys, *argv, "--tol", "1e-6")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", CAT], ["lattice", S3], ["theorem", CAT, QCAT, "--trials", "1"]],
+    ids=["classify", "lattice", "theorem"],
+)
+def test_seed_must_be_non_negative(capsys, argv):
+    _rejected_at_the_flag(capsys, [*argv, "--seed=-1"], "--seed")
+    assert run(capsys, *argv, "--seed", "0")[0] == 0
+
+
+@pytest.mark.parametrize("value", ["-2:-2", "-1:-4", "0:4", "4:0", "2:-2"])
+def test_bipartition_factors_must_be_positive(capsys, value):
+    argv = ["evolve", QCAT, "--state", SUPERPOSITION, "--hamiltonian", HOPPING, "--grid", "0:1:3"]
+    _rejected_at_the_flag(capsys, [*argv, f"--bipartition={value}"], "--bipartition")
 
 
 def test_source_has_no_assert_statements():

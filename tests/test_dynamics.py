@@ -190,6 +190,16 @@ def test_evolve_vector_state_conserves_everything():
     assert abs(trace.vectors[idx][0]) < 0.15
 
 
+def test_evolve_measures_unitarity_with_its_propagation_kernel(monkeypatch):
+    # an eigenbasis scaled by 1 + 1e-6 makes every U(t) U(t)^dagger equal (1 + 1e-6)^4 times 1: residual 4e-6 * sqrt(2)
+    g = pair_groupoid(2)
+    h, state = hopping_hamiltonian(g), pure_state(np.array([1.0, 0.0]), g, FUNDAMENTAL)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (lambda w, v: (w, v * (1.0 + 1e-6)))(*eigh(m)))
+    with pytest.raises(RuntimeError, match=r"lost unitarity: residual 5\.657e-06"):
+        evolve(h, state, parse_grid(0.0, 1.0, 3))
+
+
 def test_evolve_density_state_preserves_trace():
     g = pair_groupoid(2)
     h = hopping_hamiltonian(g, rep=LEFT_REGULAR)
@@ -350,6 +360,13 @@ def test_schmidt_rejects_bad_inputs():
         schmidt_diagnostics(np.zeros(4), (2, 2))
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (4, 0), (2, -2)], ids=lambda d: f"{d[0]}:{d[1]}")
+def test_schmidt_rejects_non_positive_dimensions(dims):
+    # (-2, -2) and (-1, -4) have the vector's length as their product
+    with pytest.raises(ValueError, match="needs positive dimensions"):
+        schmidt_diagnostics(np.ones(4), dims)
+
+
 # -- theorem-scale trials --------------------------------------------------------------
 
 
@@ -409,6 +426,23 @@ def test_a_one_object_first_factor_makes_the_separability_report_vacuous():
     assert not disconnected.vacuous and disconnected.vacuous_reason is None
 
 
+def test_reports_serialise_their_fields_and_properties():
+    report = separability_theorem_check(discrete_groupoid(2), pair_groupoid(2), trials=2, grid=QUICK_GRID)
+    # the text table's columns follow the record's key order
+    assert list(report.trials[0].to_dict()) == [
+        "index", "support_size", "max_ratio", "max_offblock", "max_entropy", "onset_time", "ok",
+    ]
+    payload = report.to_dict()
+    assert set(payload) == {
+        "mode", "factor_a", "factor_b", "n_trials", "seed", "grid", "ratio_tol", "offblock_tol", "entropy_threshold",
+        "min_fraction", "passed", "vacuous", "vacuous_reason", "worst_ratio", "worst_offblock", "max_entropy",
+        "fraction_entangled", "trials",
+    }
+    assert payload["grid"] == {"start": 0.0, "stop": 5.0, "steps": 21}
+    assert payload["trials"] == [t.to_dict() for t in report.trials]
+    assert (payload["worst_ratio"], payload["passed"]) == (report.worst_ratio, True)
+
+
 def test_trial_chunks_are_bounded(monkeypatch):
     assert [c.tolist() for c in dynamics._chunks(5, 2, 10)] == [[0, 1, 2], [3, 4]]
     assert [c.size for c in dynamics._chunks(7, 7 + 3, 10)] == [1] * 7
@@ -424,6 +458,14 @@ def test_trial_chunks_are_bounded(monkeypatch):
     capped = entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
     monkeypatch.setattr(dynamics, "TRIAL_CHUNK_ENTRIES", 1 << 16)
     assert capped == entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
+
+
+def test_a_huge_job_count_asks_for_no_more_chunks_than_trials(array_split_within_trials):
+    args = (pair_groupoid(2), pair_groupoid(2))
+    expected = entanglement_counterexample(*args, trials=3, grid=QUICK_GRID, jobs=1).to_dict()
+    for n in (0, 1, 5):
+        assert [c.tolist() for c in dynamics._chunks(n, 10**8, 10)] == [[i] for i in range(n)]
+    assert entanglement_counterexample(*args, trials=3, grid=QUICK_GRID, jobs=10**8).to_dict() == expected
 
 
 def test_reports_are_deterministic_across_runs():

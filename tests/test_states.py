@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -28,7 +28,7 @@ from groupoidqm import (
 from groupoidqm import states
 from groupoidqm.states import _check_history_set, _least_eigenvalues, measure_rows
 
-from conftest import random_density, random_groupoids
+from conftest import groupoid_cases, random_density, random_groupoids
 
 # fixed cases, run as explicit examples of the drawn groupoids
 FIXED_GROUPOIDS = [
@@ -39,12 +39,7 @@ FIXED_GROUPOIDS = [
 ]
 
 
-def on_groupoids(test):
-    """Run ``test(g, seed)`` on drawn groupoids, with every fixed case as an explicit example."""
-    test = given(random_groupoids(max_transitions=36), st.integers(0, 2**31 - 1))(test)
-    for g in FIXED_GROUPOIDS:
-        test = example(g, 0)(test)
-    return settings(deadline=None, max_examples=30)(test)
+on_groupoids = groupoid_cases(FIXED_GROUPOIDS, max_examples=30)
 
 
 def superposition_state():
