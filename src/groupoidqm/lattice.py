@@ -4,8 +4,8 @@ A proposition is a self-adjoint idempotent in a represented transition
 algebra.  The meet of two propositions is the strong limit of
 alternating products, the projection onto ran P ∩ ran Q, which is the
 eigenvalue-1 eigenspace of P Q P: one eigendecomposition of the
-symmetrized seed gives it, and the pin-and-square schedule that decides
-which eigenvalues count as 1 runs on the eigenvalues alone.  The join
+symmetrized seed gives it in closed form, and the public `meet` replays
+the pin-and-square schedule on the eigenvalues alone.  The join
 is obtained from meets and complements.  All of this works on stacks
 of matrices; each tolerance test is decided exactly by a Frobenius
 bracket around the spectral norm, and reported residuals are spectral
@@ -27,14 +27,11 @@ import numpy as np
 
 from .algebra import (
     LEFT_REGULAR,
-    AlgebraElement,
     Operator,
     _exceeds,
     _norms,
     _represent,
-    involution,
     operator_norm,
-    representation_matrix,
 )
 from .groupoid import Groupoid, has_abelian_isotropy, is_totally_disconnected, orbit_blocks
 
@@ -146,8 +143,8 @@ def is_proposition(op: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def unit_proposition(g: Groupoid, x: int, rep: str = LEFT_REGULAR) -> Proposition:
     """The projection recording "the outcome is x"."""
-    op = representation_matrix(AlgebraElement.from_transition(g.unit(x)), g, rep)
-    return certify_proposition(op, label=f"unit[{g.label(x)}]")
+    m = _represent(g, rep, np.array([[g.unit(x)]]), np.ones((1, 1), dtype=complex))[0]
+    return certify_proposition(m, rep=rep, label=f"unit[{g.label(x)}]")
 
 
 def transition_proposition(g: Groupoid, t: int, rep: str = LEFT_REGULAR) -> Proposition:
@@ -187,46 +184,45 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(x, -1, -2))
 
 
-def _meet_m(p: np.ndarray, q: np.ndarray, tol: float = MEET_TOL, max_iter: int = MEET_MAX_ITER) -> np.ndarray:
-    """Meets of stacks of projections, shape ``(..., d, d)``.
-
-    The limit of repeated squaring of P Q P is V diag(mu) V^H, where V
-    diagonalizes P Q P once and mu follows the squaring schedule on the
-    eigenvalues: square, pin every value within ``MEET_PIN_TOL`` of 1 to
-    exactly 1, and stop once a step moves the iterate by at most ``tol``
-    in Frobenius norm.  Pinning matters because directions in both ranges
-    carry eigenvalue 1 only up to rounding, and squaring alone would
-    amplify any such deviation (upward ones overflow, downward ones
-    annihilate the intersection).  Squares are never negative, so the
-    clamp at 0 that a matrix loop needs has nothing to do here.  Each
-    matrix of the stack stops at its own step, and ``ConvergenceError``
-    reports the worst step of those still moving after ``max_iter``
-    squarings.
-    """
+def _meet_eigh(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the symmetrized P Q P, one ``eigh`` per matrix of a stack."""
     x = p @ q @ p
-    x += _adjoint(x)
-    x *= 0.5
-    mu, v = np.linalg.eigh(x)
-    del x
-    moving = np.ones(mu.shape[:-1], dtype=bool)
-    moved = np.full(mu.shape[:-1], np.inf)
+    return np.linalg.eigh(0.5 * (x + _adjoint(x)))
+
+
+def _meet_m(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Meets of stacks of projections, shape ``(..., d, d)``, in closed form.
+
+    The limit of (P Q P)^n is the spectral projection of P Q P for eigenvalue
+    1, the projection onto ran P ∩ ran Q (von Neumann, *Functional Operators*
+    II, 1950).  Directions in both ranges carry eigenvalue 1 only up to
+    rounding, so each μ with μ² ≥ 1 − ``MEET_PIN_TOL`` becomes 1 and every
+    other 0: the limit of `meet`'s squaring schedule, without the squarings.
+    """
+    mu, v = _meet_eigh(p, q)
+    return (v * (mu * mu >= 1.0 - MEET_PIN_TOL)[..., None, :]) @ _adjoint(v)
+
+
+def _scheduled_meet(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """The meet of two projections by squaring the eigenvalues of P Q P, each value within ``MEET_PIN_TOL`` of 1
+    pinned to 1, until a step moves them by at most ``tol``; ``ConvergenceError`` after ``max_iter`` squarings."""
+    mu, v = _meet_eigh(p, q)
+    moved = float("inf")
     for _ in range(max_iter):
         nxt = mu * mu
         nxt[nxt >= 1.0 - MEET_PIN_TOL] = 1.0
-        nxt = np.where(moving[..., None], nxt, mu)
-        moved = np.where(moving, np.linalg.norm(nxt - mu, axis=-1), moved)
-        mu = nxt
-        moving &= moved > tol
-        if not moving.any():
-            return (v * mu[..., None, :]) @ _adjoint(v)
-    raise ConvergenceError(float(np.max(moved[moving])), max_iter)
+        moved, mu = float(np.linalg.norm(nxt - mu)), nxt
+        if moved <= tol:
+            return (v * mu) @ _adjoint(v)
+    raise ConvergenceError(moved, max_iter)
 
 
 def meet(p: Proposition, q: Proposition, tol: float = MEET_TOL, max_iter: int = MEET_MAX_ITER) -> Proposition:
-    """Largest proposition below both arguments."""
+    """Largest proposition below both arguments, by `_scheduled_meet`'s squaring schedule: ``max_iter`` bounds the
+    squarings and a budget too small raises ``ConvergenceError`` (the lattice engine uses the closed form, `_meet_m`)."""
     if p.dim != q.dim:
         raise ValueError("propositions live in different spaces")
-    m = _meet_m(p.matrix[None], q.matrix[None], tol, max_iter)[0]
+    m = _scheduled_meet(p.matrix, q.matrix, tol, max_iter)
     return certify_proposition(m, rep=p.rep, label=_binary_label("and", p, q))
 
 
@@ -234,13 +230,14 @@ def join(p: Proposition, q: Proposition, tol: float = MEET_TOL, max_iter: int = 
     """Smallest proposition above both arguments, via complements of meets."""
     if p.dim != q.dim:
         raise ValueError("propositions live in different spaces")
-    m = _join_m(p.matrix[None], q.matrix[None], tol, max_iter)[0]
+    eye = np.eye(p.dim)
+    m = eye - _scheduled_meet(eye - p.matrix, eye - q.matrix, tol, max_iter)
     return certify_proposition(m, rep=p.rep, label=_binary_label("or", p, q))
 
 
-def _join_m(p: np.ndarray, q: np.ndarray, tol: float = MEET_TOL, max_iter: int = MEET_MAX_ITER) -> np.ndarray:
+def _join_m(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     eye = np.eye(p.shape[-1])
-    m = _meet_m(eye - p, eye - q, tol, max_iter)
+    m = _meet_m(eye - p, eye - q)
     return np.subtract(eye, m, out=m)
 
 
@@ -343,8 +340,9 @@ def canonical_propositions(
     an earlier one are dropped.  A superposition fails to commute with
     the units; without connecting transitions the loops span C*(G).
     The deterministic members are one stack with one ``eigh`` for all
-    loops; a random sample's draw depends on its own clusters, so samples
-    run one by one.  The family is certified at once; the first failure raises.
+    loops; a random sample's draw c depends on its own clusters, so samples
+    run one by one, each ½(c + c*) by one gather and one scatter.  The family
+    is certified at once; the first failure raises.
     """
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
@@ -367,10 +365,9 @@ def canonical_propositions(
     rng = np.random.default_rng(seed)
     n = g.n_transitions
     for _ in range(samples):
-        re, im = rng.standard_normal(n), rng.standard_normal(n)
-        elem = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
-        sym = 0.5 * (elem + involution(elem, g))
-        w, v, clusters = _eigen_clusters(representation_matrix(sym, g, rep).matrix[None], 1e-8)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        sym = 0.5 * (c + np.conj(c[g.inverse_table]))
+        w, v, clusters = _eigen_clusters(_represent(g, rep, np.arange(n)[None], sym[None]), 1e-8)
         pick = int(rng.integers(len(clusters[0])))
         members += _cluster_projections(w[0], v[0], clusters[0][pick:pick + 1])
     stack = np.stack([m for m, _ in members])

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +182,8 @@ def test_meet_matches_range_intersection_oracle(dim, salt):
     limit = meet(p, q).matrix
     oracle = range_intersection_projection(p, q)
     assert operator_norm(limit - oracle) < 1e-8
+    # the lattice engine's closed form, on the pair as a stack of one
+    assert operator_norm(_meet_m(p.matrix[None], q.matrix[None])[0] - oracle) < 1e-8
 
 
 @settings(deadline=None, max_examples=20)
@@ -245,6 +248,33 @@ def test_canonical_propositions_sampling_is_seeded():
     b = canonical_propositions(g, samples=3, seed=1)
     for x, y in zip(a, b):
         assert_allclose(x.matrix, y.matrix)
+
+
+def dict_sample_image(g, rep, rng) -> np.ndarray:
+    """A random sample's image as the family built it before the table gather: ½(e + e*) of the draw as a dict."""
+    n = g.n_transitions
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
+    e = AlgebraElement({i: complex(re[i], im[i]) for i in range(n)})
+    return representation_matrix(0.5 * (e + involution(e, g)), g, rep).matrix
+
+
+@settings(deadline=None, max_examples=30)
+@given(random_groupoids(max_transitions=24), st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]), st.integers(0, 2**16))
+def test_random_samples_are_the_self_adjoint_parts_of_their_draws(g, rep, seed):
+    clusters, seen = lattice._eigen_clusters, []
+
+    def spy(m, cluster_tol):
+        seen.append(m.copy())
+        return clusters(m, cluster_tol)
+
+    with mock.patch.object(lattice, "_eigen_clusters", spy):
+        canonical_propositions(g, samples=4, seed=seed, rep=rep)
+    assert len(seen) == 5  # the loops' stack, then one call per sample
+    rng = np.random.default_rng(seed)
+    for image in seen[1:]:
+        want = dict_sample_image(g, rep, rng)
+        assert image.shape == (1, *want.shape) and image[0].tobytes() == want.tobytes()
+        rng.integers(len(clusters(want[None], 1e-8)[2][0]))  # the sample's pick, as the family draws it
 
 
 def test_canonical_family_names_its_loops_and_drops_duplicates():
