@@ -24,10 +24,9 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from ladder_measure import import_package  # noqa: E402
+from ladder_measure import fastest_alternating, import_package  # noqa: E402
 
 
 def shapes(gq):
@@ -49,22 +48,13 @@ def decided(v) -> dict:
     }
 
 
-def timed(f) -> float:
-    t0 = time.perf_counter()
-    f()
-    return time.perf_counter() - t0
-
-
 def compare(old_root: Path, new_root: Path, repeats: int) -> dict:
     """Per shape: both sides' fastest of ``repeats`` alternating calls, and whether they decide alike."""
     old, new = import_package(old_root), import_package(new_root)
     result = {}
     for (name, g_old), (_, g_new) in zip(shapes(old), shapes(new)):
         calls = (lambda: old.classicality_verdict(g_old), lambda: new.classicality_verdict(g_new))
-        best = [float("inf")] * 2
-        for r in range(repeats):
-            for k in (0, 1) if r % 2 == 0 else (1, 0):
-                best[k] = min(best[k], timed(calls[k]))
+        best = fastest_alternating(calls, repeats)
         a, b = (decided(call()) for call in calls)
         result[name] = {
             "transitions": g_new.n_transitions, "old_s": best[0], "new_s": best[1], "summary": b["summary"],

@@ -48,6 +48,13 @@ LEFT_REGULAR = "left-regular"
 FUNDAMENTAL = "fundamental"
 
 
+def _rep_dim(g: Groupoid, rep: str) -> int:
+    """The dimension of representation ``rep``: one basis vector per transition (left-regular) or per object."""
+    if rep not in (LEFT_REGULAR, FUNDAMENTAL):
+        raise ValueError(f"unknown representation: {rep!r}")
+    return g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+
+
 class AlgebraElement:
     """Sparse complex combination of transitions.
 
@@ -181,7 +188,7 @@ def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray, basis
     """
     member, term = np.nonzero(ids >= 0)
     t, c = ids[member, term], coeffs[member, term]
-    d = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+    d = _rep_dim(g, rep)
     basis = np.arange(d) if basis is None else basis
     pos = np.full(d, -1)
     pos[basis] = np.arange(len(basis))
@@ -190,11 +197,9 @@ def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray, basis
         rows = g.table[t][:, basis]
         k, col = np.nonzero(rows >= 0)
         np.add.at(out, (member[k], pos[rows[k, col]], col), c[k])
-    elif rep == FUNDAMENTAL:
+    else:
         k = np.flatnonzero(pos[g.source[t]] >= 0)
         np.add.at(out, (member[k], pos[g.target[t[k]]], pos[g.source[t[k]]]), c[k])
-    else:
-        raise ValueError(f"unknown representation: {rep!r}")
     return out
 
 

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, Operator
+from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, Operator, _rep_dim
 from .groupoid import Groupoid, validate
 from .states import StateFn, pure_state, state_from_density, state_from_phi
 
@@ -81,24 +81,27 @@ class FormatError(Exception):
 # -- groupoid text format --------------------------------------------------
 
 
+def _ids(index: dict[str, int], names: Iterable[str], count: int) -> np.ndarray:
+    """The ids of ``names`` under ``index`` as one array; -1 marks an unknown name."""
+    return np.fromiter(map(index.get, names, itertools.repeat(-1)), np.intp, count)
+
+
 def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True) -> Groupoid:
     """Parse and (optionally) axiom-check a groupoid definition.
 
-    Structural problems and, when ``check`` is set, axiom violations are
-    all collected and raised together as one FormatError.  All
-    ``compose:`` lines are resolved to one ``(m, 3)`` array of ids,
-    from which unknown ids and conflicting pairs are found (each still
-    reported on its own line, in line order) and the composition table
-    is written in one assignment; the map from a pair to the line that
-    declared it is built only when validation fails.
+    Structural problems and, when ``check`` is set, axiom violations are all collected and raised
+    together as one FormatError, each naming its line.  The line loop only splits lines and collects
+    tokens; endpoints, units, inverses and compositions are then resolved to ids as arrays, the
+    composition table is written in one assignment, and the map from a pair to its line is built
+    only when validation fails.
     """
     problems: list[str] = []
     object_labels: list[str] = []
     objects_line: int | None = None
-    trans_names: list[str] = []
-    trans_lines: dict[str, int] = {}
-    trans_decl: list[tuple[int, str, str, str, bool]] = []  # line, name, src, tgt, unit
-    inverse_decl: list[tuple[int, str, str]] = []
+    trans_lines: dict[str, int] = {}  # id -> line of every kept transition, in declaration order
+    trans_tokens: list[list[str]] = []
+    inverse_lines: list[int] = []
+    inverse_ids: list[str] = []  # both ids of every inverse line, flat
     compose_lines: list[int] = []
     compose_ids: list[str] = []  # first, second, result of every compose line, flat
 
@@ -135,13 +138,13 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
                 problems.append(f"line {ln}: duplicate transition id {name!r} (first on line {trans_lines[name]})")
                 continue
             trans_lines[name] = ln
-            trans_names.append(name)
-            trans_decl.append((ln, name, tokens[1], tokens[2], len(tokens) == 4))
+            trans_tokens.append(tokens)
         elif key == "inverse":
             if len(tokens) != 2:
                 problems.append(f"line {ln}: expected 'inverse: <id> <id>'")
                 continue
-            inverse_decl.append((ln, tokens[0], tokens[1]))
+            inverse_lines.append(ln)
+            inverse_ids += tokens
         else:
             problems.append(f"line {ln}: unknown keyword {key!r}")
 
@@ -150,49 +153,56 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
     if problems:
         raise FormatError(origin, problems)
 
+    n = len(trans_tokens)
+    trans_names = list(trans_lines)
+    decl_lines = list(trans_lines.values())
     obj_index = {lab: i for i, lab in enumerate(object_labels)}
     tr_index = {name: i for i, name in enumerate(trans_names)}
 
-    source = [0] * len(trans_names)
-    target = [0] * len(trans_names)
-    unit_of: dict[int, int] = {}
-    for ln, name, src, tgt, is_unit in trans_decl:
-        i = tr_index[name]
-        if src not in obj_index:
+    # endpoints and units; a declaration reports its first problem only
+    source = _ids(obj_index, [t[1] for t in trans_tokens], n)
+    target = _ids(obj_index, [t[2] for t in trans_tokens], n)
+    flagged = np.fromiter(map(len, trans_tokens), np.intp, n) == 4
+    units = np.flatnonzero((source >= 0) & (target >= 0) & flagged & (source == target))
+    first = np.full(len(object_labels), n)
+    np.minimum.at(first, source[units], units)  # each object's first flagged loop is its unit
+    keep = np.sort(first[first < n])  # in declaration order
+    unit_of = dict(zip(source[keep].tolist(), keep.tolist()))
+    bad = (source < 0) | (target < 0) | (flagged & (source != target))
+    bad[units] = True  # a loop flagged after its object's unit
+    bad[keep] = False
+    for i in np.flatnonzero(bad).tolist():
+        ln, (_, src, tgt) = decl_lines[i], trans_tokens[i][:3]
+        if source[i] < 0:
             problems.append(f"line {ln}: unknown source object {src!r}")
-            continue
-        if tgt not in obj_index:
+        elif target[i] < 0:
             problems.append(f"line {ln}: unknown target object {tgt!r}")
-            continue
-        source[i] = obj_index[src]
-        target[i] = obj_index[tgt]
-        if is_unit:
-            if src != tgt:
-                problems.append(f"line {ln}: unit flag on a non-loop transition")
-            elif obj_index[src] in unit_of:
-                problems.append(f"line {ln}: object {src!r} already has a unit")
-            else:
-                unit_of[obj_index[src]] = i
+        elif source[i] != target[i]:
+            problems.append(f"line {ln}: unit flag on a non-loop transition")
+        else:
+            problems.append(f"line {ln}: object {src!r} already has a unit")
 
-    inverse = [-1] * len(trans_names)
-    for ln, a, b in inverse_decl:
-        missing = [n for n in (a, b) if n not in tr_index]
-        if missing:
-            problems.append(f"line {ln}: unknown transition id {missing[0]!r}")
-            continue
-        for x, y in ((tr_index[a], tr_index[b]), (tr_index[b], tr_index[a])):
-            if inverse[x] not in (-1, y):
-                problems.append(f"line {ln}: conflicting inverse for {trans_names[x]!r}")
-            inverse[x] = y
-    for i, inv in enumerate(inverse):
-        if inv == -1:
-            problems.append(
-                f"line {trans_lines[trans_names[i]]}: transition {trans_names[i]!r} has no declared inverse"
-            )
+    # inverses: assignment 2k sets a -> b for declaration k, 2k + 1 sets b -> a; one that changes an inverse conflicts
+    pairs = _ids(tr_index, inverse_ids, len(inverse_ids)).reshape(-1, 2)
+    unknown = (pairs < 0).any(axis=1)
+    x, y = np.where(unknown[:, None], n, pairs).ravel(), pairs[:, ::-1].ravel()  # n stands for no assignment
+    order = np.argsort(x, kind="stable")
+    changed = np.zeros(x.size, dtype=bool)
+    changed[order[1:]] = (x[order[1:]] == x[order[:-1]]) & (y[order[1:]] != y[order[:-1]]) & (x[order[1:]] < n)
+    changed[::2] |= unknown
+    inverse = np.full(n + 1, -1, dtype=np.intp)
+    inverse[x] = y  # unambiguous unless a conflict is reported
+    for j in np.flatnonzero(changed).tolist():
+        ln, (a, b) = inverse_lines[j // 2], inverse_ids[j - j % 2:j - j % 2 + 2]
+        if unknown[j // 2]:
+            problems.append(f"line {ln}: unknown transition id {a if a not in tr_index else b!r}")
+        else:
+            problems.append(f"line {ln}: conflicting inverse for {trans_names[x[j]]!r}")
+    for i in np.flatnonzero(inverse[:n] < 0).tolist():
+        problems.append(f"line {decl_lines[i]}: transition {trans_names[i]!r} has no declared inverse")
 
     # every compose line as one row (first, second, result) of ids; -1 is an unknown id
-    n = len(trans_names)
-    rows = np.array(list(map(tr_index.get, compose_ids, itertools.repeat(-1))), dtype=np.intp).reshape(-1, 3)
+    rows = _ids(tr_index, compose_ids, len(compose_ids)).reshape(-1, 3)
     unknown = (rows < 0).any(axis=1)
     # the first line naming each known (first, second) pair fixes its result; a later different one conflicts
     key = np.where(unknown, -1, rows[:, 0] * n + rows[:, 1])
@@ -214,7 +224,7 @@ def parse_groupoid_text(text: str, origin: str = "<string>", check: bool = True)
 
     table = np.full((n, n), -1, dtype=np.intp)
     table[rows[:, 0], rows[:, 1]] = rows[:, 2]
-    g = Groupoid(object_labels, source, target, unit_of, inverse, table)
+    g = Groupoid(object_labels, source, target, unit_of, inverse[:n], table)
     if check:
         report = validate(g)
         if not report.is_valid:
@@ -377,13 +387,12 @@ def load_state(path: str, g: Groupoid) -> StateFn:
         rep = obj.get("rep", LEFT_REGULAR)
         if rep not in REPRESENTATIONS:
             raise FormatError(path, [f"unknown representation {rep!r}"])
-        if "vector" in obj:
-            vec = parse_complex_matrix(obj["vector"], path, "vector")
-            if vec.ndim != 1:
-                raise FormatError(path, ["vector must be a flat list of [re, im] pairs"])
-            return pure_state(vec, g, rep)
-        rho = parse_complex_matrix(obj["density"], path, "density")
-        return state_from_density(rho, g, rep)
+        what = "vector" if "vector" in obj else "density"
+        m = parse_complex_matrix(obj[what], path, what)
+        need = (_rep_dim(g, rep),) * (1 if what == "vector" else 2)
+        if m.shape != need:  # a vector needs one entry per basis element of the representation, a density d × d
+            raise FormatError(path, [f"{what} has shape {m.shape}, but the {rep} representation needs {need}"])
+        return pure_state(m, g, rep) if m.ndim == 1 else state_from_density(m, g, rep)
     if "phi" in obj:
         terms = _parse_terms(obj["phi"], path)
         return state_from_phi(terms, g)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, _exceeds
+from .algebra import LEFT_REGULAR, AlgebraElement, _exceeds, _rep_dim
 from .groupoid import Groupoid
 
 __all__ = [
@@ -133,13 +133,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
         raise ValueError(f"Gram matrix at object {g.label(y)} is not positive semidefinite")
 
 
-def state_from_density(
-    rho: np.ndarray,
-    g: Groupoid,
-    rep: str = LEFT_REGULAR,
-    tol: float = STATE_TOL,
-    vector: np.ndarray | None = None,
-) -> StateFn:
+def state_from_density(rho: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float = STATE_TOL) -> StateFn:
     """Pull the amplitude table out of a density matrix.
 
     The amplitude of a transition is the trace of the density matrix
@@ -149,9 +143,7 @@ def state_from_density(
     the fundamental one.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rep not in (LEFT_REGULAR, FUNDAMENTAL):
-        raise ValueError(f"unknown representation: {rep!r}")
-    dim = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+    dim = _rep_dim(g, rep)
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix shape {rho.shape} does not match representation dimension {dim}")
     if _exceeds(rho - rho.conj().T, tol):
@@ -159,24 +151,39 @@ def state_from_density(
     eigmin = float(_least_eigenvalues((rho + rho.conj().T) / 2.0, tol))
     if not eigmin >= -tol:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {eigmin:.3e})")
-    tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= tol:
-        raise ValueError(f"density matrix has trace {tr!r}, not 1")
-    if rep == LEFT_REGULAR:
-        phi = np.where(g.table >= 0, rho[np.arange(dim), g.table], 0).sum(axis=1)
-    else:
-        phi = rho[g.source, g.target]
-    _validate_phi(g, phi, max(tol, 1e-9))
-    return StateFn(g, dict(enumerate(phi.tolist())), rep, rho, vector)
+    return _state(rho, g, rep, tol, None)
 
 
 def pure_state(vec: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float = STATE_TOL) -> StateFn:
+    """The state of a unit vector: ``state_from_density`` of ρ = v v† without its two d × d checks.
+
+    They cannot fail.  Each stored ρ_ij is v_i·v̄_j(1 + δ), |δ| ≤ √2·γ₂ (Higham, Accuracy and Stability
+    of Numerical Algorithms, §3.6), so ρ = v v† + E with ‖E‖_F ≤ √2·γ₂·‖v‖².  Without fused multiply-adds
+    fl(v_i·v̄_j) is exactly the conjugate of fl(v_j·v̄_i) and ρ is exactly Hermitian; either way
+    ‖ρ − ρ†‖_F ≤ 2‖E‖_F and λ_min((ρ + ρ†)/2) ≥ −‖E‖_F, below 7e-16 once |‖v‖ − 1| ≤ ``tol``: far below
+    ``tol``.  The representation, dimension, norm and trace checks stay, and so does φ's Gram check.
+    """
     vec = np.asarray(vec, dtype=complex).ravel()
     norm = float(np.linalg.norm(vec))
     if not abs(norm - 1.0) <= tol:
         raise ValueError(f"state vector has norm {norm!r}, not 1")
-    rho = np.outer(vec, vec.conj())
-    return state_from_density(rho, g, rep, tol, vector=vec)
+    dim = _rep_dim(g, rep)
+    if vec.shape != (dim,):
+        raise ValueError(f"state vector length {vec.size} does not match representation dimension {dim}")
+    return _state(np.outer(vec, vec.conj()), g, rep, tol, vec)
+
+
+def _state(rho: np.ndarray, g: Groupoid, rep: str, tol: float, vector: np.ndarray | None) -> StateFn:
+    """Check the trace of a certified density ``rho`` and gather its amplitudes."""
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= tol:
+        raise ValueError(f"density matrix has trace {tr!r}, not 1")
+    if rep == LEFT_REGULAR:
+        phi = np.where(g.table >= 0, rho[np.arange(len(rho)), g.table], 0).sum(axis=1)
+    else:
+        phi = rho[g.source, g.target]
+    _validate_phi(g, phi, max(tol, 1e-9))
+    return StateFn(g, dict(enumerate(phi.tolist())), rep, rho, vector)
 
 
 def state_from_phi(phi: dict[int, complex], g: Groupoid, tol: float = STATE_TOL) -> StateFn:

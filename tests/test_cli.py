@@ -284,6 +284,23 @@ def test_measure_rejects_non_finite_state_entries(capsys, tmp_path, state, where
     assert str(path) in err and where in err
 
 
+@pytest.mark.parametrize(
+    "state, where",
+    [
+        ('{"vector": [[0.6, 0], [0.8, 0], [0, 0]]}', "vector has shape (3,), but the left-regular representation needs (2,)"),
+        ('{"rep": "fundamental", "density": [[[0.5, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]}',
+         "density has shape (3, 3), but the fundamental representation needs (2, 2)"),
+    ],
+    ids=["vector", "density"],
+)
+def test_measure_names_the_file_for_a_state_of_the_wrong_dimension(capsys, tmp_path, state, where):
+    path = tmp_path / "wide.state"
+    path.write_text(state + "\n")
+    code, out, err = run(capsys, "measure", CAT, "--state", str(path), "--sets", SETS)
+    assert code == 1 and out == ""
+    assert str(path) in err and where in err and "density matrix" not in err
+
+
 HUGE = "1" + "0" * 400  # an integer literal no float can hold
 
 

@@ -77,7 +77,14 @@ def test_parse_valid_groupoid_text():
 
 def test_groupoid_text_roundtrip():
     for g in (pair_groupoid(3), symmetric_group(3), disjoint_union([cyclic_group(2), cyclic_group(3)])):
-        assert parse_groupoid_text(dump_groupoid_text(g)) == g
+        back = parse_groupoid_text(dump_groupoid_text(g))
+        assert back == g
+        assert list(back.unit_of.items()) == list(g.unit_of.items())  # in object order, which == does not see
+
+
+def test_units_keep_their_declaration_order():
+    text = "objects: x y\ntransition: v y y unit\ntransition: u x x unit\ninverse: u u\ninverse: v v\ncompose: u u u\ncompose: v v v\n"
+    assert list(parse_groupoid_text(text).unit_of.items()) == [(1, 0), (0, 1)]
 
 
 def test_product_roundtrip_keeps_tables_but_not_provenance():
@@ -593,6 +600,50 @@ def _corrupt_compose_lines(data, g) -> str:
         else:
             lines.insert(data.draw(st.integers(0, len(lines))), "compose: " + " ".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+def _corrupt_declaration_lines(data, text: str) -> str:
+    """Unknown objects and ids, unit flags on non-loops and on second loops, conflicting and missing inverses."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        decls = [k for k, line in enumerate(lines) if line.startswith(("transition:", "inverse:"))]
+        names = [lines[k].split()[1] for k in decls if lines[k].startswith("transition:")]
+        if not names:
+            break
+        k = data.draw(st.sampled_from(decls))
+        tokens = lines[k].split()
+        kind = data.draw(st.sampled_from(["unknown", "unit", "extra unit", "inverse", "drop"]))
+        if kind == "unknown":  # an object in a transition line, an id in an inverse line
+            tokens[data.draw(st.integers(2 if tokens[0] == "transition:" else 1, len(tokens) - 1))] = "zz"
+        elif kind == "unit" and tokens[0] == "transition:" and len(tokens) == 4:
+            tokens.append("unit")  # on a non-unit, loop or not
+        elif kind == "extra unit" and tokens[0] == "transition:":  # a new loop flagged as a unit
+            tokens = ["transition:", f"x{k}", tokens[2], tokens[2], "unit"]
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(tokens))
+            continue
+        elif kind == "inverse" and tokens[0] == "inverse:":  # a second declaration for one of the ids
+            tokens[data.draw(st.integers(1, 2))] = data.draw(st.sampled_from(names))
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(tokens))
+            continue
+        elif kind == "drop":
+            del lines[k]
+            continue
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(random_groupoids(max_transitions=24), st.data())
+def test_declaration_diagnostics_match_the_per_line_parser(g, data):
+    text = _corrupt_compose_lines(data, g) if data.draw(st.booleans()) else dump_groupoid_text(g)
+    text = _corrupt_declaration_lines(data, text)
+    want = ref_parse_problems(text)
+    if not want:
+        assert parse_groupoid_text(text) == g
+        return
+    with pytest.raises(FormatError) as err:
+        parse_groupoid_text(text)
+    assert err.value.problems == want
 
 
 @settings(deadline=None, max_examples=60)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from groupoidqm import (
+    FUNDAMENTAL,
+    LEFT_REGULAR,
     StateFn,
     amplitude,
     classical_distribution,
@@ -88,6 +90,38 @@ def test_pure_state_requires_unit_norm():
     g = pair_groupoid(2)
     with pytest.raises(ValueError, match="norm"):
         pure_state(np.array([1.0, 1.0, 0.0, 0.0]), g)
+
+
+def _outcome_of(f, *args):
+    """A state's amplitudes and matrices, or the class of the error it raised."""
+    try:
+        s = f(*args)
+    except Exception as e:  # noqa: BLE001 - the class is the outcome
+        return type(e)
+    return np.array(list(s.phi.values())).tobytes(), s.density.tobytes(), s.rep
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    random_groupoids(max_transitions=36),
+    st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]),
+    st.sampled_from(["unit", "norm", "trace", "nan", "length"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pure_state_gathers_the_density_routes_amplitudes(g, rep, kind, seed):
+    # bit-equal amplitudes and the same error class as the density route on v v†, whose d × d checks pure_state skips
+    rng = np.random.default_rng(seed)
+    dim = g.n_transitions if rep == LEFT_REGULAR else g.n_objects
+    size = (dim + rng.choice([-1, 1]) if dim > 1 else 2) if kind == "length" else dim
+    vec = rng.standard_normal(size) + 1j * rng.standard_normal(size) * rng.integers(2)
+    vec /= np.linalg.norm(vec)
+    if kind in ("norm", "trace"):  # |‖v‖² − 1| ≈ 1.5e-10: past STATE_TOL while |‖v‖ − 1| is within it
+        vec *= 1.0 + (1e-3 if kind == "norm" else 0.75e-10)
+    if kind == "nan":
+        vec[rng.integers(size)] = np.nan
+    want = _outcome_of(state_from_density, np.outer(vec, vec.conj()), g, rep)
+    assert _outcome_of(pure_state, vec, g, rep) == want
+    assert (want is ValueError) == (kind != "unit")
 
 
 def test_state_from_phi_checks_normalization():
