@@ -343,14 +343,6 @@ def _subgroup_generated(mul: Sequence[Sequence[int]], identity: int, gens: Itera
     return seen
 
 
-def _element_order(mul: Sequence[Sequence[int]], identity: int, x: int) -> int:
-    k, y = 1, x
-    while y != identity:
-        y = mul[y][x]
-        k += 1
-    return k
-
-
 def _abelian_basis(mul: Sequence[Sequence[int]], identity: int) -> list[tuple[int, int]]:
     """Split an abelian group into a direct sum of cyclic subgroups.
 
@@ -358,7 +350,7 @@ def _abelian_basis(mul: Sequence[Sequence[int]], identity: int) -> list[tuple[in
     whole group directly.  Backtracking search, fine for small groups.
     """
     n = len(mul)
-    orders = {x: _element_order(mul, identity, x) for x in range(n)}
+    orders = {x: len(_subgroup_generated(mul, identity, [x])) for x in range(n)}
     candidates = sorted((x for x in range(n) if x != identity), key=lambda x: (-orders[x], x))
 
     def extend(basis: list[int], span: set[int]) -> list[int] | None:
@@ -376,8 +368,6 @@ def _abelian_basis(mul: Sequence[Sequence[int]], identity: int) -> list[tuple[in
                 return found
         return None
 
-    if n == 1:
-        return []
     basis = extend([], {identity})
     if basis is None:
         raise ValueError("group is not abelian or decomposition failed")
@@ -403,35 +393,29 @@ class CharacterTable:
 def isotropy_character_table(g: Groupoid, x: int) -> CharacterTable:
     loops = g.loops_at(x)
     n = len(loops)
-    local = {t: i for i, t in enumerate(loops)}
-    mul = [[local[g.compose(loops[i], loops[j])] for j in range(n)] for i in range(n)]
-    identity = local[g.unit(x)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mul[i][j] != mul[j][i]:
-                raise ValueError(f"isotropy group at object {g.label(x)} is not abelian")
+    mul = np.searchsorted(loops, g.table[np.ix_(loops, loops)])
+    if not np.array_equal(mul, mul.T):
+        raise ValueError(f"isotropy group at object {g.label(x)} is not abelian")
+    identity = int(np.searchsorted(loops, g.unit(x)))
 
-    basis = _abelian_basis(mul, identity)
+    basis = _abelian_basis(mul.tolist(), identity)
     orders = tuple(d for _, d in basis)
-    # coordinates of every element against the cyclic decomposition
-    coords: dict[int, tuple[int, ...]] = {}
-    for ks in itertools.product(*(range(d) for d in orders)):
-        e = identity
-        for (b, _), k in zip(basis, ks):
-            for _ in range(k):
-                e = mul[e][b]
-        coords[e] = ks
-    if len(coords) != n:
-        raise ValueError("cyclic decomposition does not span the group")
-
     exps = list(itertools.product(*(range(d) for d in orders)))
-    values = np.ones((n, n), dtype=complex)
-    for k, js in enumerate(exps):
-        for i in range(n):
-            ks = coords[i]
-            phase = sum(j * c / d for j, c, d in zip(js, ks, orders))
-            values[k, i] = np.exp(2j * np.pi * phase)
-    return CharacterTable(loops, values, tuple(exps), orders)
+    # the element with each exponent vector, one generator power at a time, then its coordinates
+    powers = np.array(exps, dtype=np.intp)
+    elems = np.full(len(exps), identity)
+    for j, (b, d) in enumerate(basis):
+        for k in range(1, d):
+            elems = np.where(powers[:, j] >= k, mul[elems, b], elems)
+    if np.unique(elems).size != n:
+        raise ValueError("cyclic decomposition does not span the group")
+    coords = np.empty_like(powers)
+    coords[elems] = powers
+    # each phase summed term by term in exponent order, as a scalar sum would
+    phase = np.zeros((n, n))
+    for j, d in enumerate(orders):
+        phase += np.outer(powers[:, j], coords[:, j]) / d
+    return CharacterTable(loops, np.exp(2j * np.pi * phase), tuple(exps), orders)
 
 
 def character_diagonalization(g: Groupoid) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
@@ -451,11 +435,9 @@ def character_diagonalization(g: Groupoid) -> tuple[np.ndarray, list[tuple[str, 
     for x in range(g.n_objects):
         table = isotropy_character_table(g, x)
         size = len(table.loop_ids)
-        for k in range(size):
-            for i, t in enumerate(table.loop_ids):
-                u[t, col] = np.conj(table.values[k, i]) / np.sqrt(size)
-            labels.append((g.label(x), table.exponents[k]))
-            col += 1
+        u[np.array(table.loop_ids)[:, None], col + np.arange(size)] = np.conj(table.values.T) / np.sqrt(size)
+        labels += [(g.label(x), e) for e in table.exponents]
+        col += size
     if col != n:
         raise RuntimeError(f"character tables cover {col} of {n} transitions")
     return u, labels

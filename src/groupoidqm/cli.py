@@ -32,8 +32,8 @@ from .dynamics import (
 )
 from .formats import (
     FormatError,
+    _element_from_json,
     dump_json,
-    load_element,
     load_groupoid,
     load_history_sets,
     load_state,
@@ -200,8 +200,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             return 1
         h = hamiltonian_from_matrix(parse_complex_matrix(payload["matrix"], args.hamiltonian, "matrix"), g, rep)
     else:
-        elem = load_element(args.hamiltonian)
-        h = hamiltonian_from_element(elem, g, state.rep)
+        h = hamiltonian_from_element(_element_from_json(payload, args.hamiltonian), g, state.rep)
     times = parse_grid(*args.grid)
     trace = evolve(h, state, times, bipartition=args.bipartition)
     rows: list[dict[str, Any]] = [{"t": float(t), "residual": float(r)} for t, r in zip(trace.times, trace.norm_residuals)]

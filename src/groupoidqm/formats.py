@@ -408,7 +408,11 @@ def dump_state(s: StateFn) -> dict:
 
 
 def load_element(path: str) -> AlgebraElement:
-    obj = read_json(path)
+    return _element_from_json(read_json(path), path)
+
+
+def _element_from_json(obj: Any, path: str) -> AlgebraElement:
+    """The element in an element file's parsed JSON; errors name ``path``."""
     if isinstance(obj, dict) and "terms" in obj:
         obj = obj["terms"]
     return AlgebraElement(_parse_terms(obj, path))

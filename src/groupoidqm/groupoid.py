@@ -12,7 +12,10 @@ the table takes 8·n² bytes: 0.17 MB at ``pair_groupoid(12)`` (n = 144)
 and 1.3 MB at ``pair_groupoid(20)`` (n = 400).  Products,
 representations, states and validation all index these arrays
 directly, and validation still points at the exact tuple that breaks
-an axiom.
+an axiom.  :func:`validate`'s batched kernel is the one associativity
+check: :func:`group_groupoid` runs it on a group table from outside,
+while the generators build their tables, inverses and units by
+construction.
 
 The composition convention is the function-like one: ``compose(a, b)``
 means "b first, then a" and is defined exactly when ``source(a) ==
@@ -49,8 +52,8 @@ __all__ = [
 ]
 
 # Most (b, a, c) chains one associativity batch gathers at once.  A chain
-# costs about 26 bytes of temporaries (tracemalloc on symmetric_group(5)),
-# so a full batch peaks near 1.7 MB; pair_groupoid(12) has 20,736 chains
+# costs about 33 bytes of temporaries (tracemalloc on symmetric_group(5)),
+# so a full batch peaks near 2.1 MB; pair_groupoid(12) has 20,736 chains
 # and fits in one batch.  Over the benchmark's `measure` inputs, process
 # peak RSS reads the same for every value from 4,096 to 65,536.
 ASSOC_BATCH_ENTRIES = 1 << 16
@@ -273,7 +276,7 @@ def validate(g: Groupoid) -> ValidationReport:
     Distinct failure modes get distinct violation kinds so callers (and
     the command line front end) can report precisely what is broken.
     Each axiom is checked with masks over the tables; lookups through a
-    -1 entry land on the last row or column and are always masked out.
+    -1 entry land on some other entry and are always masked out.
     Associativity compares ((a;b);c) with (a;(b;c)) on every composable
     chain, batched by the shape of the middle transition b (see
     ``ASSOC_BATCH_ENTRIES``), so its cost grows with the number of
@@ -357,7 +360,8 @@ def validate(g: Groupoid) -> ValidationReport:
         if bad_before[a]:
             out.append(Violation("inverse-law", (a,), f"{a} after inverse({a}) is not the unit at target"))
 
-    for b, a, c, ab_c, a_bc in sorted(_associativity_failures(g)):
+    found = np.concatenate([np.empty((0, 5), dtype=np.intp), *_associativity_failures(g)])
+    for b, a, c, ab_c, a_bc in found[np.lexsort(found[:, 2::-1].T)].tolist():  # (b, a, c) order
         out.append(Violation("associativity", (a, b, c), f"(({a};{b});{c})={ab_c} but ({a};({b};{c}))={a_bc}"))
     return ValidationReport(tuple(out))
 
@@ -369,26 +373,27 @@ def _chains(ends: np.ndarray, n_objects: int) -> tuple[np.ndarray, np.ndarray, n
     return order, np.cumsum(count) - count, count
 
 
-def _associativity_failures(g: Groupoid) -> list[tuple[int, int, int, int, int]]:
-    """Every (b, a, c, ((a;b);c), (a;(b;c))) whose two bracketings disagree.
+def _associativity_failures(g: Groupoid) -> Iterator[np.ndarray]:
+    """Every (b, a, c, ((a;b);c), (a;(b;c))) whose two bracketings disagree, one (m, 5) array per batch.
 
     Middle transitions b with the same chain shape, (number of a with
     source(a) = target(b), number of c with target(c) = source(b)), are
-    checked together with one 3-D gather per batch; a batch holds at
-    most ``ASSOC_BATCH_ENTRIES`` (b, a, c) chains, and never less than
-    one b.  Pairs without a table entry are masked out; they are
-    reported as missing compositions.
+    checked together, each bracketing gathered from the flattened table
+    with one index per batch; a batch holds at most
+    ``ASSOC_BATCH_ENTRIES`` (b, a, c) chains, and never less than one b.
+    Pairs without a table entry are masked out; they are reported as
+    missing compositions.  Batches come in order of chain shape, not of b.
     """
-    src, tgt, table = g.source, g.target, g.table
+    src, tgt, table, n = g.source, g.target, g.table, g.n_transitions
+    flat = table.ravel()
     out_order, out_start, out_count = _chains(src, g.n_objects)
     in_order, in_start, in_count = _chains(tgt, g.n_objects)
     n_a, n_c = out_count[tgt], in_count[src]
-    shape = n_a * (g.n_transitions + 1) + n_c
+    shape = n_a * (n + 1) + n_c
     middles = np.argsort(shape, kind="stable")
     if not middles.size:
-        return []
+        return
     cuts = np.flatnonzero(np.diff(shape[middles])) + 1
-    found = []
     for group in np.split(middles, cuts):
         na, nc = int(n_a[group[0]]), int(n_c[group[0]])
         step = max(1, ASSOC_BATCH_ENTRIES // max(1, na * nc))
@@ -397,13 +402,12 @@ def _associativity_failures(g: Groupoid) -> list[tuple[int, int, int, int, int]]
             a = out_order[out_start[tgt[b]][:, None] + np.arange(na)]
             c = in_order[in_start[src[b]][:, None] + np.arange(nc)]
             ab, bc = table[a, b[:, None]], table[b[:, None], c]
-            # a -1 entry indexes the last row or column; the masks drop those lookups
-            ab_c = table[ab[:, :, None], c[:, None, :]]
-            a_bc = table[a[:, :, None], bc[:, None, :]]
-            broken = (ab >= 0)[:, :, None] & (bc >= 0)[:, None, :] & (ab_c >= 0) & (a_bc >= 0) & (ab_c != a_bc)
-            for k, i, j in np.argwhere(broken).tolist():
-                found.append((int(b[k]), int(a[k, i]), int(c[k, j]), int(ab_c[k, i, j]), int(a_bc[k, i, j])))
-    return found
+            ab_c = flat[ab[:, :, None] * n + c[:, None, :]]
+            a_bc = flat[a[:, :, None] * n + bc[:, None, :]]
+            k, i, j = np.nonzero(ab_c != a_bc)
+            # a -1 entry lands on some other entry of the table; the masks drop those lookups
+            real = (ab[k, i] >= 0) & (bc[k, j] >= 0) & (ab_c[k, i, j] >= 0) & (a_bc[k, i, j] >= 0)
+            yield np.column_stack((b[k], a[k, i], c[k, j], ab_c[k, i, j], a_bc[k, i, j]))[real]
 
 
 # -- connectivity and isotropy -----------------------------------------
@@ -493,56 +497,48 @@ def pair_groupoid(n: int, labels: Sequence[str] | None = None) -> Groupoid:
     return Groupoid(labels, source, target, range(0, n * n, n + 1), target * n + source, table)
 
 
-def _check_group_table(table: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Return (identity index, inverse list) or raise on a non-group table."""
-    n = len(table)
-    if n == 0:
-        raise ValueError("empty multiplication table")
-    for row in table:
-        if len(row) != n or sorted(row) != list(range(n)):
-            raise ValueError("multiplication table rows must be permutations of 0..n-1")
-    for j in range(n):
-        if sorted(table[i][j] for i in range(n)) != list(range(n)):
-            raise ValueError("multiplication table columns must be permutations of 0..n-1")
-    identity = None
-    for e in range(n):
-        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("multiplication table has no identity element")
-    inv = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == identity and table[b][a] == identity:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise ValueError(f"element {a} has no two-sided inverse")
-    t = np.asarray(table, dtype=np.intp)
-    for a in range(n):
-        bad = np.argwhere(t[t[a]] != t[a][t])  # (a b) c against a (b c), in row-major (b, c) order
-        if bad.size:
-            raise ValueError(f"multiplication table is not associative at ({a}, {bad[0, 0]}, {bad[0, 1]})")
-    return identity, inv
-
-
 def group_groupoid(table: Sequence[Sequence[int]], object_label: str = "*") -> Groupoid:
     """A one-object groupoid whose loops multiply by the given group table.
 
     ``table[i][j]`` is the index of the product "j first, then i", which
-    matches the composition convention used everywhere else.
+    matches the composition convention used everywhere else.  Rows,
+    columns, identity and inverses are checked here, associativity by
+    :func:`validate`'s kernel; an error names the first (a, b, c) that
+    fails it.
     """
-    identity, inv = _check_group_table(table)
     n = len(table)
-    return Groupoid([object_label], [0] * n, [0] * n, [identity], inv, table)
+    if n == 0:
+        raise ValueError("empty multiplication table")
+    t = np.asarray(table) if all(len(row) == n for row in table) else np.empty(0)
+    ids = np.arange(n)
+    # sorting compares values, so 1.5 or a NaN is rejected here and never cast
+    if t.shape != (n, n) or t.dtype.kind not in "biuf" or not (np.sort(t, axis=1) == ids).all():
+        raise ValueError("multiplication table rows must be permutations of 0..n-1")
+    if not (np.sort(t, axis=0) == ids[:, None]).all():
+        raise ValueError("multiplication table columns must be permutations of 0..n-1")
+    t = t.astype(np.intp)
+    identity = np.flatnonzero((t == ids).all(axis=1) & (t == ids[:, None]).all(axis=0))
+    if not identity.size:
+        raise ValueError("multiplication table has no identity element")
+    e = int(identity[0])
+    inv = np.argmax(t == e, axis=1)  # the one b in each row with a b = e
+    bad = np.flatnonzero(t[inv, ids] != e)
+    if bad.size:
+        raise ValueError(f"element {bad[0]} has no two-sided inverse")
+    g = Groupoid([object_label], [0] * n, [0] * n, [e], inv, t)
+    # a Latin square with identity and inverses can only break associativity; find the least failing (a, b, c)
+    keys = [((f[:, 1] * n + f[:, 0]) * n + f[:, 2]).min() for f in _associativity_failures(g) if len(f)]
+    if keys:
+        a, b, c = np.unravel_index(min(keys), (n, n, n))
+        raise ValueError(f"multiplication table is not associative at ({a}, {b}, {c})")
+    return g
 
 
 def cyclic_group(n: int, object_label: str = "*") -> Groupoid:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return group_groupoid(table, object_label)
+    ids = np.arange(n)
+    return Groupoid([object_label], [0] * n, [0] * n, [0], -ids % n, (ids[:, None] + ids) % n)
 
 
 def symmetric_group(n: int, object_label: str = "*") -> Groupoid:
@@ -554,7 +550,9 @@ def symmetric_group(n: int, object_label: str = "*") -> Groupoid:
     key = n ** np.arange(n - 1, -1, -1)
     index = np.zeros(n**n, dtype=np.intp)
     index[perms @ key] = np.arange(len(perms))
-    return group_groupoid(index[perms[:, perms] @ key].tolist(), object_label)
+    # the identity sorts first, and argsort inverts a permutation
+    inverse, table = index[np.argsort(perms, axis=1) @ key], index[perms[:, perms] @ key]
+    return Groupoid([object_label], [0] * len(perms), [0] * len(perms), [0], inverse, table)
 
 
 def discrete_groupoid(objects: int | Sequence[str]) -> Groupoid:
@@ -562,9 +560,8 @@ def discrete_groupoid(objects: int | Sequence[str]) -> Groupoid:
     labels = [str(x) for x in range(objects)] if isinstance(objects, int) else list(objects)
     if not labels:
         raise ValueError("discrete groupoid needs at least one object")
-    n = len(labels)
-    comp = {(x, x): x for x in range(n)}
-    return Groupoid(labels, list(range(n)), list(range(n)), list(range(n)), list(range(n)), comp)
+    ids = np.arange(len(labels))
+    return Groupoid(labels, ids, ids, ids, ids, np.diag(ids + 1) - 1)  # x∘x = x and no other entry
 
 
 def disjoint_union(parts: Iterable[Groupoid]) -> Groupoid:

@@ -179,7 +179,9 @@ def _state(rho: np.ndarray, g: Groupoid, rep: str, tol: float, vector: np.ndarra
     if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix has trace {tr!r}, not 1")
     if rep == LEFT_REGULAR:
-        phi = np.where(g.table >= 0, rho[np.arange(len(rho)), g.table], 0).sum(axis=1)
+        terms = rho[np.arange(len(rho)), g.table]
+        terms[g.table < 0] = 0  # in place, so no second d² array
+        phi = terms.sum(axis=1)
     else:
         phi = rho[g.source, g.target]
     _validate_phi(g, phi, max(tol, 1e-9))

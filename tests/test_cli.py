@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from groupoidqm import pair_groupoid, state_from_phi
+from groupoidqm import cli, formats, pair_groupoid, state_from_phi
 from groupoidqm.cli import _cell, build_parser, main
 from groupoidqm.formats import dump_state, fixture_path
 
@@ -359,6 +359,22 @@ def test_evolve_takes_a_negative_grid_start_after_an_equals_sign(capsys):
     assert code == 0
     _, rows = table(out)
     assert [float(r[0]) for r in rows] == [-1.0, 0.0]
+
+
+def test_evolve_reads_its_element_hamiltonian_once(capsys, monkeypatch):
+    reads = []
+
+    def counting(read):
+        def wrapper(path):
+            reads.append(path)
+            return read(path)
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_json", counting(cli.read_json))
+    monkeypatch.setattr(formats, "read_json", counting(formats.read_json))
+    code, _, _ = run(capsys, "evolve", QCAT, "--state", DIAGONAL, "--hamiltonian", HOPPING)
+    assert code == 0
+    assert reads.count(HOPPING) == 1
 
 
 def test_evolve_density_table(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_groupoids
+from conftest import GROUPS, random_groupoids
 from groupoidqm import (
     Groupoid,
     cyclic_group,
@@ -179,6 +179,132 @@ def test_group_groupoid_reports_the_first_associativity_failure(perm, loop):
     with pytest.raises(ValueError) as exc:
         group_groupoid(table)
     assert str(exc.value) == want
+
+
+def reference_check_group_table(table):
+    """(identity, inverse list) of a group table, or the ValueError of a plain per-entry check."""
+    n = len(table)
+    if n == 0:
+        raise ValueError("empty multiplication table")
+    for row in table:
+        if len(row) != n or sorted(row) != list(range(n)):
+            raise ValueError("multiplication table rows must be permutations of 0..n-1")
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            raise ValueError("multiplication table columns must be permutations of 0..n-1")
+    identity = None
+    for e in range(n):
+        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise ValueError("multiplication table has no identity element")
+    inv = [-1] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == identity and table[b][a] == identity:
+                inv[a] = b
+                break
+        if inv[a] < 0:
+            raise ValueError(f"element {a} has no two-sided inverse")
+    t = np.asarray(table, dtype=np.intp)
+    for a in range(n):
+        bad = np.argwhere(t[t[a]] != t[a][t])  # (a b) c against a (b c), in row-major (b, c) order
+        if bad.size:
+            raise ValueError(f"multiplication table is not associative at ({a}, {bad[0, 0]}, {bad[0, 1]})")
+    return identity, inv
+
+
+# a loop of order 5 with identity 0 in which 2 b = 0 needs b = 3 but 3 2 = 1
+ONE_SIDED_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+# a non-associative loop of order 6 whose first failure in (b, a, c) order, under every
+# relabelling, is not its lexicographically first (a, b, c)
+LOOP_OF_ORDER_6 = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 4, 5, 0, 1, 2],
+    [4, 5, 0, 1, 2, 3],
+    [5, 2, 1, 4, 3, 0],
+]
+BASE_TABLES = [make().table.tolist() for make in GROUPS.values()]
+BASE_TABLES += [NON_ASSOCIATIVE_LOOP, LOOP_OF_ORDER_6, ONE_SIDED_LOOP]
+CORRUPTIONS = ["none", "swap", "overwrite", "out-of-range", "non-integer", "ragged", "swap-rows"]
+
+
+@st.composite
+def group_tables(draw):
+    """A base table relabelled by a drawn permutation, then possibly corrupted in one place."""
+    base = draw(st.sampled_from(BASE_TABLES))
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    (r, c), (r2, c2) = draw(cell), draw(cell)
+    if kind == "swap":
+        table[r][c], table[r2][c2] = table[r2][c2], table[r][c]
+    elif kind == "overwrite":
+        table[r][c] = draw(st.integers(0, n - 1))
+    elif kind == "out-of-range":
+        table[r][c] = draw(st.sampled_from([-1, n, n + 7]))
+    elif kind == "non-integer":
+        table[r][c] += draw(st.sampled_from([0.5, -0.25, float("nan")]))
+    elif kind == "ragged":
+        table[r] = table[r][:-1] if draw(st.booleans()) else table[r] + [c]
+    elif kind == "swap-rows":
+        table[r], table[r2] = table[r2], table[r]
+    return table
+
+
+@settings(deadline=None, max_examples=300)
+@given(group_tables())
+def test_group_groupoid_matches_the_per_entry_reference(table):
+    try:
+        identity, inv = reference_check_group_table(table)
+    except ValueError as e:
+        with pytest.raises(ValueError) as exc:
+            group_groupoid(table)
+        assert str(exc.value) == str(e)
+        return
+    n = len(table)
+    assert group_groupoid(table) == Groupoid(["*"], [0] * n, [0] * n, [identity], inv, table)
+
+
+def test_group_groupoid_names_an_element_without_a_two_sided_inverse():
+    with pytest.raises(ValueError) as exc:
+        group_groupoid(ONE_SIDED_LOOP)
+    assert str(exc.value) == "element 2 has no two-sided inverse"
+
+
+def test_symmetric_group_6_has_inverses_and_permutation_products():
+    g = symmetric_group(6)
+    perms = sorted(itertools.permutations(range(6)))
+    index = {p: i for i, p in enumerate(perms)}
+    assert (g.table[np.arange(720), g.inverse_table] == 0).all()
+    assert g.unit_of == {0: 0} and perms[0] == tuple(range(6))
+    rng = np.random.default_rng(6)
+    for p, q in rng.integers(0, 720, size=(500, 2)).tolist():
+        assert g.table[p, q] == index[tuple(perms[p][k] for k in perms[q])]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cyclic_group_is_valid(n):
+    assert validate(cyclic_group(n)).is_valid
+
+
+def test_validate_takes_a_groupoid_without_transitions():
+    report = validate(Groupoid(["x"], [], [], {}, [], {}))
+    assert [v.kind for v in report.violations] == ["missing-unit"]
 
 
 def test_discrete_groupoid_is_all_units():
