@@ -4,14 +4,15 @@
 
 OLD and NEW are checkout roots, each with ``src/groupoidqm``.  Each side
 runs ``classicality_verdict`` with its defaults (5 random samples, seed 42,
-the left-regular representation) on ``pair_groupoid(8)``,
-``pair_groupoid(12)``, the disjoint unions of 5 copies of S3 and of 20
-copies of Z3, and on S4.  Both checkouts are loaded into one process, with
-BLAS pinned to one thread, and their calls alternate, each side first in
-every other round, so neither side pays for running second; every figure
-is the fastest of ``--repeats`` calls.  For each shape the sides are
-compared on the lattice summary, the three routes' flags and the witness:
-its law, operands and member labels, and the difference of its residuals.
+the left-regular representation) on ``pair_groupoid(n)`` for n = 8, 12, 16
+and 20, the disjoint unions of 5 copies of S3 and of 20 and 50 copies of
+Z3, and on S4.  Both checkouts are loaded into one process, with BLAS
+pinned to one thread, and their calls alternate, each side first in every
+other round, so neither side pays for running second; every figure is the
+fastest of ``--repeats`` calls.  For each shape the sides are compared, on
+the verdicts of their last calls, on the lattice summary, the three routes'
+flags and the witness: its law, operands and member labels, and the
+difference of its residuals.
 The result is printed as one JSON object.
 """
 
@@ -32,8 +33,11 @@ from ladder_measure import fastest_alternating, import_package  # noqa: E402
 def shapes(gq):
     yield "pair(8)", gq.pair_groupoid(8)
     yield "pair(12)", gq.pair_groupoid(12)
+    yield "pair(16)", gq.pair_groupoid(16)
+    yield "pair(20)", gq.pair_groupoid(20)
     yield "5 x S3", gq.disjoint_union([gq.symmetric_group(3)] * 5)
     yield "20 x Z3", gq.disjoint_union([gq.cyclic_group(3)] * 20)
+    yield "50 x Z3", gq.disjoint_union([gq.cyclic_group(3)] * 50)
     yield "S4", gq.symmetric_group(4)
 
 
@@ -53,9 +57,14 @@ def compare(old_root: Path, new_root: Path, repeats: int) -> dict:
     old, new = import_package(old_root), import_package(new_root)
     result = {}
     for (name, g_old), (_, g_new) in zip(shapes(old), shapes(new)):
-        calls = (lambda: old.classicality_verdict(g_old), lambda: new.classicality_verdict(g_new))
-        best = fastest_alternating(calls, repeats)
-        a, b = (decided(call()) for call in calls)
+        last = [None, None]
+
+        def run(k, gq, g):
+            last[k] = None  # a side's previous verdict is freed before its next call
+            last[k] = gq.classicality_verdict(g)
+
+        best = fastest_alternating((lambda: run(0, old, g_old), lambda: run(1, new, g_new)), repeats)
+        a, b = (decided(v) for v in last)
         result[name] = {
             "transitions": g_new.n_transitions, "old_s": best[0], "new_s": best[1], "summary": b["summary"],
             "same_decision": all(a[k] == b[k] for k in ("summary", "routes", "witness")),

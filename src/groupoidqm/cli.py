@@ -134,18 +134,19 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _violation(v, props) -> dict:
-    return {"law": v.law, "operands": [props[i].label or f"#{i}" for i in v.operands], "residual": v.residual}
+def _violation(v, labels) -> dict:
+    return {"law": v.law, "operands": [labels[i] or f"#{i}" for i in v.operands], "residual": v.residual}
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     g = load_groupoid(args.path, check=True)
     props = canonical_propositions(g, samples=args.samples, seed=args.seed)
     report = check_boolean(props, tol=args.tol)
-    rows = [_violation(v, props) for v in report.violations]
+    labels = [p.label for p in props]
+    rows = [_violation(v, labels) for v in report.violations]
     payload = {
         "boolean": report.is_boolean,
-        "propositions": [p.label for p in props],
+        "propositions": labels,
         "pairs_tested": report.pairs_tested,
         "triples_tested": report.triples_tested,
         "violations": rows,
@@ -165,9 +166,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "abelian_algebra": verdict.abelian_algebra,
         "consistent": verdict.consistent,
         "pseudo_classical": verdict.pseudo_classical,
-        "witness": None if verdict.witness is None else _violation(verdict.witness, verdict.propositions),
+        "witness": None if verdict.witness is None else _violation(verdict.witness, verdict.propositions.labels),
         "lattice_summary": verdict.report.summary(),
-        "offblock_residual": verdict.offblock_residual,
         "pairs_by_support": verdict.report.pairs_by_support,
     }
     _emit(args, payload, lambda: f"classical: {str(verdict.is_classical).lower()}\n" + verdict.describe())

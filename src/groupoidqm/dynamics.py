@@ -35,7 +35,7 @@ from .algebra import (
     operator_norm,
     representation_matrix,
 )
-from .groupoid import Groupoid, direct_product, is_totally_disconnected, orbit_decomposition
+from .groupoid import Groupoid, _orbit_table, direct_product, is_totally_disconnected
 from .states import StateFn
 
 __all__ = [
@@ -89,14 +89,11 @@ def block_structure(product: Groupoid) -> BlockStructure:
     if product.factors is None:
         raise ValueError("block structure needs a groupoid built by direct_product")
     ga, gb = product.factors
-    orbits = orbit_decomposition(ga).orbits
-    orbit_of = np.empty(ga.n_objects, dtype=np.intp)
-    for k, orb in enumerate(orbits):
-        orbit_of[list(orb)] = k
+    orbit_of, orbits = _orbit_table(ga)
     # product object x * nb + y lies in the block of first-factor object x
     block_of = orbit_of[np.arange(product.n_objects) // gb.n_objects]
     blocks = tuple(tuple(np.flatnonzero(block_of == k).tolist()) for k in range(len(orbits)))
-    labels = tuple("+".join(ga.label(x) for x in orb) for orb in orbits)
+    labels = tuple("+".join(ga.label(x) for x in orb.tolist()) for orb in orbits)
     escaped = np.flatnonzero(block_of[product.source] != block_of[product.target])
     if escaped.size:
         raise RuntimeError(f"transition {escaped[0]} escapes its block; product tables are corrupted")

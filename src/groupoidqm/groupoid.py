@@ -425,25 +425,24 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
+def _orbit_table(g: Groupoid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each object's orbit index, orbits numbered by their least objects, and each orbit's objects in order.
+
+    In a groupoid that passes `validate` the sources of the transitions into y are y's orbit, so the least
+    of them, one ``np.minimum.at`` for all objects, is the orbit's least object; other tables may split orbits.
+    """
+    least = np.arange(g.n_objects)
+    np.minimum.at(least, g.target, g.source)
+    _, of = np.unique(least, return_inverse=True)
+    return of, np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+
+
 def orbit_decomposition(g: Groupoid) -> OrbitDecomposition:
-    parent = list(range(g.n_objects))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in zip(g.source.tolist(), g.target.tolist()):
-        a, b = find(x), find(y)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for x in range(g.n_objects):
-        groups.setdefault(find(x), []).append(x)
-    orbits = tuple(tuple(groups[r]) for r in sorted(groups))
-    isotropy = tuple(g.loops_at(x) for x in range(g.n_objects))
-    return OrbitDecomposition(orbits, isotropy)
+    """Orbits and per-object loop groups of a groupoid that passes `validate` (see `_orbit_table`)."""
+    loops = np.flatnonzero(g.source == g.target)
+    loops = loops[np.argsort(g.source[loops], kind="stable")]
+    isotropy = np.split(loops, np.cumsum(np.bincount(g.source[loops], minlength=g.n_objects))[:-1])
+    return OrbitDecomposition(tuple(tuple(o.tolist()) for o in _orbit_table(g)[1]), tuple(tuple(x.tolist()) for x in isotropy))
 
 
 def orbit_blocks(g: Groupoid, rep: str = "left-regular") -> list[np.ndarray]:
@@ -454,16 +453,16 @@ def orbit_blocks(g: Groupoid, rep: str = "left-regular") -> list[np.ndarray]:
     multiplication by w commutes with the representation, so every element of
     C*(G) has one matrix on all rows of an orbit.  Fundamental: the orbit's objects.
     """
-    orbits = orbit_decomposition(g).orbits
+    orbits = _orbit_table(g)[1]
     if rep == "fundamental":
-        return [np.array([orb]) for orb in orbits]
+        return [orb[None] for orb in orbits]
     if rep != "left-regular":
         raise ValueError(f"unknown representation: {rep!r}")
     out, w = [], np.empty(g.n_objects, dtype=np.intp)
     for orb in orbits:
         into = np.flatnonzero(g.target == orb[0])  # w[y]: a transition y -> x, the unit for y = x
         w[g.source[into]], w[orb[0]] = into, g.unit(orb[0])
-        out.append(g.table[np.flatnonzero(g.source == orb[0])[None, :], w[list(orb)][:, None]])
+        out.append(g.table[np.flatnonzero(g.source == orb[0])[None, :], w[orb][:, None]])
     return out
 
 

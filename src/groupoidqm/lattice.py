@@ -13,15 +13,16 @@ norms.  A family generates a Boolean lattice exactly when its members
 are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on a
 generating family of C*(G) decides the classicality question, which
 `classicality_verdict` answers three independent ways.  As C*(G) ≅
-⊕_orbits M_{|O|}(ℂ[G_x]), it runs the laws and the commutators on one
-block per orbit (`orbit_blocks`) once the family is certified to have no
-mass off the blocks; `check_boolean` is the same engine on one block.
+⊕_orbits M_{|O|}(ℂ[G_x]), it builds the family (`_family`) and runs the laws
+and the commutators on one block per orbit (`orbit_blocks`), where the dense
+`canonical_propositions` and `check_boolean` are the same on one block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .algebra import (
     Operator,
     _exceeds,
     _norms,
+    _rep_dim,
     _represent,
     operator_norm,
 )
@@ -120,17 +122,18 @@ def certify_proposition(
         m, rep = op.matrix, op.rep
     else:
         m = np.asarray(op, dtype=complex)
-    return _certified(m[None], rep, [label], tol)[0]
+    return Proposition(m, rep, *_residuals([m[None]], tol)[:, 0].tolist(), label)
 
 
-def _certified(mats: np.ndarray, rep: str, labels: Sequence[str | None], tol: float = DEFAULT_TOL) -> list[Proposition]:
-    """Certify a stack of matrices with one batched norm per residual; the first failure raises."""
-    ra = _norms(mats - _adjoint(mats))
-    ri = _norms(mats @ mats - mats)
-    bad = np.flatnonzero(~((ra <= tol) & (ri <= tol)))
+def _residuals(stacks: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Self-adjointness and idempotency residuals, shape (2, n), of members given as one stack per block: the
+    largest over the blocks, the operator norms of the block-diagonal members.  The first failure raises."""
+    res = np.array([np.max([_norms(m - _adjoint(m)) for m in stacks], axis=0),
+                    np.max([_norms(m @ m - m) for m in stacks], axis=0)])
+    bad = np.flatnonzero(~(res <= tol).all(axis=0))
     if bad.size:
-        raise CertificationError(float(ra[bad[0]]), float(ri[bad[0]]))
-    return [Proposition(m, rep, float(a), float(i), label) for m, a, i, label in zip(mats, ra, ri, labels)]
+        raise CertificationError(*res[:, bad[0]].tolist())
+    return res
 
 
 def is_proposition(op: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -286,24 +289,30 @@ def range_intersection_projection(p: Proposition | np.ndarray, q: Proposition | 
     return basis @ basis.conj().T
 
 
-def _eigen_clusters(m: np.ndarray, cluster_tol: float) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
-    """Eigenvalues, eigenvectors (one ``eigh``) and eigenvalue clusters of a stack of self-adjoint matrices.
+def _eigen_clusters(blocks: Sequence[np.ndarray], mult: Sequence[int], cluster_tol: float):
+    """Eigendecompositions (one ``eigh`` per block) and eigenvalue clusters of self-adjoint elements on invariant blocks.
 
-    A cluster ends wherever the gap to the next eigenvalue exceeds
-    ``cluster_tol``; each cluster is a slice of one ascending spectrum.
+    ``blocks`` holds one ``(m, r, r)`` stack per block, block b acting ``mult[b]`` times.  An element's
+    spectrum is the ascending union of its blocks' spectra, block b's eigenvalues ``mult[b]`` times; a
+    cluster is a slice of it that ends wherever the gap to the next eigenvalue exceeds ``cluster_tol``.
     """
-    skew = m - _adjoint(m)
-    bad = np.flatnonzero(_exceeds(skew, 1e-8))
-    if bad.size:
-        raise ValueError(f"operator is not self-adjoint (residual {operator_norm(skew[bad[0]]):.3e})")
-    w, v = np.linalg.eigh((m + _adjoint(m)) / 2.0)
-    bounds = [[0, *(np.flatnonzero(np.diff(row) > cluster_tol) + 1).tolist(), row.size] for row in w]
-    return w, v, [[slice(a, b) for a, b in zip(e, e[1:]) if b > a] for e in bounds]
+    bad = np.any([_exceeds(m - _adjoint(m), 1e-8) for m in blocks], axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"operator is not self-adjoint (residual {max(operator_norm(m[k] - _adjoint(m[k])) for m in blocks):.3e})")
+    eig = [np.linalg.eigh((m + _adjoint(m)) / 2.0) for m in blocks]
+    union = np.sort(np.concatenate([np.repeat(w, k, axis=-1) for (w, _), k in zip(eig, mult)], axis=-1), axis=-1)
+    bounds = [[0, *(np.flatnonzero(np.diff(row) > cluster_tol) + 1).tolist(), row.size] for row in union]
+    return eig, union, [[slice(a, b) for a, b in zip(e, e[1:]) if b > a] for e in bounds]
 
 
-def _cluster_projections(w: np.ndarray, v: np.ndarray, clusters: list[slice], prefix: str = "") -> list[tuple]:
-    """(matrix, label) of the projection onto each given eigenvalue cluster of one matrix."""
-    return [(v[:, c] @ v[:, c].conj().T, f"{prefix}eig[{float(np.mean(w[c])):.4g}]") for c in clusters]
+def _cluster_projections(eig: list, union: np.ndarray, k: int, clusters: list[slice], prefix: str = "") -> list[tuple]:
+    """(matrices, label) of the projection onto each given cluster of element k of `_eigen_clusters`: its matrix on
+    each block, from the block's eigenvectors in the cluster, which are a slice of the block's ascending spectrum.
+    The label's mean is ``np.mean``'s, one ``np.add.reduce`` divided by the count."""
+    row, spectra = union[k].tolist(), [(w[k].tolist(), v[k]) for w, v in eig]
+    return [([u @ u.conj().T for u in (v[:, bisect_left(w, row[c.start]):bisect_right(w, row[c.stop - 1])] for w, v in spectra)],
+             f"{prefix}eig[{float(np.add.reduce(union[k, c])) / (c.stop - c.start):.4g}]") for c in clusters]
 
 
 def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, rep: str = LEFT_REGULAR) -> list[Proposition]:
@@ -316,9 +325,10 @@ def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, r
         m, rep = op.matrix, op.rep
     else:
         m = np.asarray(op, dtype=complex)
-    w, v, clusters = _eigen_clusters(m[None], cluster_tol)
-    members = _cluster_projections(w[0], v[0], clusters[0])
-    return _certified(np.reshape([p for p, _ in members], (-1, *m.shape)), rep, [label for _, label in members])
+    eig, union, clusters = _eigen_clusters([m[None]], [1], cluster_tol)
+    members = _cluster_projections(eig, union, 0, clusters[0])
+    mats = np.reshape([p for (p,), _ in members], (-1, *m.shape))
+    return [Proposition(p, rep, a, i, label) for p, (a, i), (_, label) in zip(mats, _residuals([mats]).T.tolist(), members)]
 
 
 # -- canonical proposition families and lattice laws ----------------------
@@ -339,11 +349,16 @@ def canonical_propositions(
     eigenclusters.  Members within Frobenius distance ``DEFAULT_TOL`` of
     an earlier one are dropped.  A superposition fails to commute with
     the units; without connecting transitions the loops span C*(G).
-    The deterministic members are one stack with one ``eigh`` for all
-    loops; a random sample's draw c depends on its own clusters, so samples
-    run one by one, each ½(c + c*) by one gather and one scatter.  The family
-    is certified at once; the first failure raises.
+    This is `_family` on one block, the whole space.
     """
+    return list(_family(g, [np.arange(_rep_dim(g, rep))[None]], samples, seed, rep))
+
+
+def _family(g: Groupoid, blocks: Sequence[np.ndarray], samples: int, seed: int, rep: str) -> _BlockFamily:
+    """`canonical_propositions` on invariant blocks covering the basis (rows of `orbit_blocks`), each element
+    represented on each block's row 0.  Residuals are a member's largest over its blocks, and the Frobenius
+    distance that drops duplicates weighs block b by √(rows of b), so both are the whole matrix's.  A sample's
+    draw depends on its clusters, whose count is the whole space's, so samples run one by one."""
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
     pairs = [t for t in range(g.n_transitions) if t <= g.inverse(t)]
@@ -355,27 +370,60 @@ def canonical_propositions(
     terms += [[g.unit(g.source[t]), g.unit(g.target[t]), t, g.inverse(t)] for t in links]
     terms += [[s, g.inverse(s), -1, -1] for s in loops for _ in range(2)]
     coeffs = [[1, 0, 0, 0]] * g.n_objects + [[0.5] * 4] * len(links) + [[1, 1, 0, 0], [1j, -1j, 0, 0]] * len(loops)
-    images = _represent(g, rep, np.array(terms, dtype=np.intp), np.array(coeffs, dtype=complex))
+    ids, coeffs = np.array(terms, dtype=np.intp), np.array(coeffs, dtype=complex)
+    images = [_represent(g, rep, ids, coeffs, rows[0]) for rows in blocks]
+    mult = [len(rows) for rows in blocks]
     head = g.n_objects + len(links)
     labels = [f"unit[{g.label(x)}]" for x in range(g.n_objects)] + [f"superpose[{t}]" for t in links]
-    members = list(zip(images[:head], labels))
-    w, v, clusters = _eigen_clusters(images[head:], 1e-8)
+    members = [([m[i] for m in images], label) for i, label in enumerate(labels)]
+    eig, union, clusters = _eigen_clusters([m[head:] for m in images], mult, 1e-8)
     for k, s in enumerate(np.repeat(loops, 2).tolist()):
-        members += _cluster_projections(w[k], v[k], clusters[k][:-1], f"{('sym', 'skew')[k % 2]}[{s}]:")
+        members += _cluster_projections(eig, union, k, clusters[k][:-1], f"{('sym', 'skew')[k % 2]}[{s}]:")
     rng = np.random.default_rng(seed)
     n = g.n_transitions
     for _ in range(samples):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         sym = 0.5 * (c + np.conj(c[g.inverse_table]))
-        w, v, clusters = _eigen_clusters(_represent(g, rep, np.arange(n)[None], sym[None]), 1e-8)
+        eig, union, clusters = _eigen_clusters([_represent(g, rep, np.arange(n)[None], sym[None], rows[0])
+                                                for rows in blocks], mult, 1e-8)
         pick = int(rng.integers(len(clusters[0])))
-        members += _cluster_projections(w[0], v[0], clusters[0][pick:pick + 1])
-    stack = np.stack([m for m, _ in members])
-    props, keep = _certified(stack, rep, [label for _, label in members]), np.zeros(len(members), dtype=bool)
-    for k in range(len(members)):  # against the kept members, a chunk of them per call
-        keep[k] = all((np.linalg.norm(stack[s][keep[s]] - stack[k], axis=(-2, -1)) > DEFAULT_TOL).all()
-                      for s in _chunks(k, stack.shape[-1]))
-    return [p for p, kept in zip(props, keep) if kept]
+        members += _cluster_projections(eig, union, 0, clusters[0][pick:pick + 1])
+    sizes = [rows.shape[1] for rows in blocks]
+    ends, flat = np.cumsum(np.square(sizes)), np.empty((len(members), sum(r * r for r in sizes)), dtype=complex)
+    stacks = [flat[:, e - r * r:e].reshape(-1, r, r) for e, r in zip(ends, sizes)]
+    for b, stack in enumerate(stacks):  # member i's matrices on the blocks are row i of flat
+        np.stack([m[b] for m, _ in members], out=stack)
+    residuals = _residuals(stacks)
+    weight, keep = np.repeat(mult, np.square(sizes)), np.zeros(len(members), dtype=bool)
+    for k in range(len(members)):  # against the kept members, about CHUNK_ENTRIES entries per call
+        keep[k] = all((np.abs(flat[s][keep[s]] - flat[k]) ** 2 @ weight > DEFAULT_TOL ** 2).all()
+                      for s in _chunks(k, int(flat.shape[1] ** 0.5)))
+    return _BlockFamily(tuple(label for (_, label), kept in zip(members, keep) if kept), blocks,
+                        [flat[keep, e - r * r:e].reshape(-1, r, r) for e, r in zip(ends, sizes)], residuals[:, keep], rep)
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockFamily(Sequence):
+    """A family as one ``(n, r, r)`` stack per block of ``blocks`` (`_family`).  Member i is lifted to its d x d
+    `Proposition`, its block matrix on every row of each block and 0 elsewhere, only when read; ``labels`` lifts none."""
+
+    labels: tuple[str, ...]
+    blocks: Sequence[np.ndarray]
+    stacks: list[np.ndarray]
+    residuals: np.ndarray  # (2, n): self-adjointness and idempotency
+    rep: str
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i, d = range(len(self))[i], sum(rows.size for rows in self.blocks)
+        m = np.zeros((d, d), dtype=complex)
+        for rows, stack in zip(self.blocks, self.stacks):
+            m[rows[:, :, None], rows[:, None, :]] = stack[i]
+        return Proposition(m, self.rep, *self.residuals[:, i].tolist(), self.labels[i])
 
 
 @dataclass(frozen=True)
@@ -385,9 +433,9 @@ class LawViolation:
     residual: float
 
     def describe(self, props: Sequence[Proposition] | None = None) -> str:
-        names = ", ".join(
-            props[i].label or f"#{i}" if props else f"#{i}" for i in self.operands
-        )
+        # a verdict's family names its members without lifting them
+        labels = props.labels if isinstance(props, _BlockFamily) else [p.label for p in props or ()]
+        names = ", ".join(labels[i] or f"#{i}" if labels else f"#{i}" for i in self.operands)
         return f"{self.law} fails on ({names}): residual {self.residual:.3e}"
 
 
@@ -435,19 +483,6 @@ def _chunks(count: int, d: int):
     step = max(1, CHUNK_ENTRIES // (d * d))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
-
-
-def _offblock_residual(mats: np.ndarray, blocks: Sequence[np.ndarray]) -> float:
-    """Largest ‖P − P̂‖_F over a stack, P̂ repeating P's representative block on every row of its orbit, 0 elsewhere:
-    a bound on all that the block engine does not see, off-block entries and the spread along an orbit."""
-    d = mats.shape[-1]
-    fold, block = np.zeros(d, dtype=np.intp), np.full(d, -1)
-    for rows in blocks:
-        fold[rows] = rows[0]
-        block[rows] = block.max() + 1 + np.arange(rows.shape[0])[:, None]
-    same = (block[:, None] == block[None, :]) & (block >= 0)
-    return max((float(np.max(np.linalg.norm(mats[s] - np.where(same, mats[s][:, fold[:, None], fold], 0), axis=(-2, -1))))
-                for s in _chunks(len(mats), d)), default=0.0)
 
 
 def check_boolean(
@@ -561,7 +596,8 @@ class ClassicalityVerdict:
     """Classicality decided by lattice, structure and algebra routes.
 
     The three routes are logically equivalent; `consistent` records that
-    they actually agreed on this instance.
+    they actually agreed on this instance.  ``propositions`` lifts each
+    member of the family from its orbit blocks only when it is read.
     """
 
     boolean_lattice: bool
@@ -570,8 +606,7 @@ class ClassicalityVerdict:
     abelian_algebra: bool
     report: LatticeReport
     witness: LawViolation | None
-    propositions: tuple[Proposition, ...] = field(repr=False, default=())
-    offblock_residual: float = 0.0
+    propositions: Sequence[Proposition] = field(repr=False, default=())
 
     @property
     def structural(self) -> bool:
@@ -622,21 +657,14 @@ def classicality_verdict(
     route two inspects connectivity and isotropy commutativity; route
     three measures commutators of the represented basis directly.
     """
-    props = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
-    note = f"canonical family: units, superpositions, loop eigenprojections, {samples} random eigenprojections"
     blocks = orbit_blocks(g, rep)
-    mats = np.stack([p.matrix for p in props])
-    offblock = _offblock_residual(mats, blocks)
-    if offblock <= DEFAULT_TOL:
-        # a member is trivial on a block within DEFAULT_TOL of 0 or I there; a certified member's block is
-        # a projection, of norm 0 or 1, so the Frobenius norm alone decides
-        sub = [mats[:, rows[0][:, None], rows[0]] for rows in blocks]
-        zero = np.array([~_exceeds(m, DEFAULT_TOL) for m in sub])
-        full = np.array([~_exceeds(np.eye(m.shape[-1]) - m, DEFAULT_TOL) for m in sub])
-        report = _check_blocks(sub, zero, full, tol, fail_fast, note)
-    else:
-        note += f"; off-block residual {offblock:.3e} exceeds {DEFAULT_TOL:g}, so the laws ran on the whole space"
-        report = check_boolean(props, tol=tol, fail_fast=fail_fast, note=note)
+    props = _family(g, blocks, samples, seed, rep)
+    note = f"canonical family: units, superpositions, loop eigenprojections, {samples} random eigenprojections"
+    # a member is trivial on a block within DEFAULT_TOL of 0 or I there; a certified member's block is
+    # a projection, of norm 0 or 1, so the Frobenius norm alone decides
+    zero = np.array([~_exceeds(m, DEFAULT_TOL) for m in props.stacks])
+    full = np.array([~_exceeds(np.eye(m.shape[-1]) - m, DEFAULT_TOL) for m in props.stacks])
+    report = _check_blocks(props.stacks, zero, full, tol, fail_fast, note)
 
     td = is_totally_disconnected(g)
     ab_iso = has_abelian_isotropy(g)
@@ -662,6 +690,5 @@ def classicality_verdict(
         abelian_algebra=abelian_alg,
         report=report,
         witness=witness,
-        propositions=tuple(props),
-        offblock_residual=offblock,
+        propositions=props,
     )

@@ -11,9 +11,9 @@ otherwise leave the verdict to ``eigvalsh``.
 On top of a state sit the pairwise functional D over history sets, the
 induced measure μ and the two- and three-set interference terms, all
 summed from one Gram matrix G[u, v] = φ(u⁻¹∘v) over the union of the
-sets.  Every μ, each union's included, is its own block sum, so the
-vanishing three-set term, the pairwise nature of the whole construction,
-stays a measurement; tests pin it.
+sets.  Every μ, each union's included, is its own block sum; still,
+μ(S) = 1_Sᵀ G 1_S is a quadratic form in the indicator of S, whatever the
+state, so the three-set term vanishes identically: I3 rows read rounding.
 """
 
 from __future__ import annotations
@@ -320,9 +320,9 @@ def interference(s: StateFn, *sets: Iterable[int]) -> float:
     """Deviation of the measure from additivity on disjoint sets.
 
     Two sets give the pair interference μ(a∪b) − μ(a) − μ(b); three sets give the triple
-    term, which vanishes for states of this pairwise kind.  Every μ, each union's included,
-    is its own sum over the union's whole block of the Gram matrix, never assembled from D
-    or from the parts' numbers, so I3 ≈ 0 stays a measurement and not an identity.
+    term.  Each μ is its own sum over its set's block of the Gram matrix G, but μ(S) =
+    1_Sᵀ G 1_S is a quadratic form in the indicator of S for any G, so the triple term
+    vanishes identically, up to rounding: it is not a measurement of the state.
     """
     g = s.groupoid
     families = [_check_history_set(g, a) for a in sets]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import GROUPS, random_groupoids
 from groupoidqm import (
     Groupoid,
+    block_structure,
     cyclic_group,
     direct_product,
     discrete_groupoid,
@@ -17,11 +18,14 @@ from groupoidqm import (
     group_groupoid,
     has_abelian_isotropy,
     is_totally_disconnected,
+    orbit_blocks,
     orbit_decomposition,
     pair_groupoid,
     symmetric_group,
     validate,
 )
+from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR
+from groupoidqm.dynamics import BlockStructure
 
 
 def sample_groupoids() -> list[Groupoid]:
@@ -421,6 +425,64 @@ def test_orbit_decomposition_pair_and_union():
     # the full cyclic group on the one-object part
     assert dec.isotropy[0] == (g.unit(0),)
     assert dec.isotropy[2] == (4, 5, 6)
+
+
+def reference_orbit_decomposition(g: Groupoid) -> tuple[tuple, tuple]:
+    """(orbits, isotropy) by union-find over the transitions, each root the least object of its orbit."""
+    parent = list(range(g.n_objects))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in zip(g.source.tolist(), g.target.tolist()):
+        a, b = find(x), find(y)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for x in range(g.n_objects):
+        groups.setdefault(find(x), []).append(x)
+    return tuple(tuple(groups[r]) for r in sorted(groups)), tuple(g.loops_at(x) for x in range(g.n_objects))
+
+
+def reference_orbit_blocks(g: Groupoid, rep: str) -> list[np.ndarray]:
+    orbits = reference_orbit_decomposition(g)[0]
+    if rep == FUNDAMENTAL:
+        return [np.array([orb]) for orb in orbits]
+    out, w = [], np.empty(g.n_objects, dtype=np.intp)
+    for orb in orbits:
+        into = np.flatnonzero(g.target == orb[0])
+        w[g.source[into]], w[orb[0]] = into, g.unit(orb[0])
+        out.append(g.table[np.flatnonzero(g.source == orb[0])[None, :], w[list(orb)][:, None]])
+    return out
+
+
+def reference_block_structure(product: Groupoid) -> BlockStructure:
+    ga, gb = product.factors
+    orbits = reference_orbit_decomposition(ga)[0]
+    orbit_of = np.empty(ga.n_objects, dtype=np.intp)
+    for k, orb in enumerate(orbits):
+        orbit_of[list(orb)] = k
+    block_of = orbit_of[np.arange(product.n_objects) // gb.n_objects]
+    blocks = tuple(tuple(np.flatnonzero(block_of == k).tolist()) for k in range(len(orbits)))
+    return BlockStructure(blocks, tuple("+".join(ga.label(x) for x in orb) for orb in orbits))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(random_groupoids(max_transitions=12), min_size=2, max_size=3), st.booleans())
+def test_orbit_table_equals_the_union_find_reference(parts, product):
+    first = parts[0] if len(parts) == 2 else disjoint_union(parts[:2])
+    g = direct_product(first, parts[-1]) if product else disjoint_union(parts)
+    for h in (parts[0], g):
+        dec = orbit_decomposition(h)
+        assert (dec.orbits, dec.isotropy) == reference_orbit_decomposition(h)
+        for rep in (LEFT_REGULAR, FUNDAMENTAL):
+            got, want = orbit_blocks(h, rep), reference_orbit_blocks(h, rep)
+            assert [(b.dtype, b.tolist()) for b in got] == [(b.dtype, b.tolist()) for b in want]
+    if product:
+        assert block_structure(g) == reference_block_structure(g)
 
 
 def test_total_disconnectedness():
