@@ -4,15 +4,18 @@
 
 OLD and NEW are checkout roots, each with ``src/groupoidqm``.  Each side
 runs ``classicality_verdict`` with its defaults (5 random samples, seed 42,
-the left-regular representation) on ``pair_groupoid(n)`` for n = 8, 12, 16
-and 20, the disjoint unions of 5 copies of S3 and of 20 and 50 copies of
-Z3, and on S4.  Both checkouts are loaded into one process, with BLAS
-pinned to one thread, and their calls alternate, each side first in every
-other round, so neither side pays for running second; every figure is the
-fastest of ``--repeats`` calls.  For each shape the sides are compared, on
-the verdicts of their last calls, on the lattice summary, the three routes'
-flags and the witness: its law, operands and member labels, and the
-difference of its residuals.
+the left-regular representation) on ``pair_groupoid(n)`` for n = 8, 12, 16,
+20, 24, 32, 48 and 64, the disjoint unions of 5 copies of S3 and of 20 and
+50 copies of Z3, and on S4.  OLD runs only up to pair(32): the meet-based
+engine takes about 25 s there and builds an (n, n, n) tensor.  Both
+checkouts are loaded into one process, with BLAS pinned to one thread, and
+their calls alternate, each side first in every other round, so neither
+side pays for running second; every figure is the fastest of ``--repeats``
+calls.  Each rung's peak RSS (``VmHWM`` on Linux) comes from a fresh process
+per side that builds the shape and runs one verdict.  For each shape the sides
+are compared, on the verdicts of their last calls, on the lattice summary,
+the three routes' flags and the witness: its law, operands and member
+labels, and the difference of its residuals.
 The result is printed as one JSON object.
 """
 
@@ -24,21 +27,38 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from ladder_measure import fastest_alternating, import_package  # noqa: E402
 
+# name, builder, and whether OLD runs there
+SHAPES = [
+    *((f"pair({n})", lambda gq, n=n: gq.pair_groupoid(n), n <= 32) for n in (8, 12, 16, 20, 24, 32, 48, 64)),
+    ("5 x S3", lambda gq: gq.disjoint_union([gq.symmetric_group(3)] * 5), True),
+    ("20 x Z3", lambda gq: gq.disjoint_union([gq.cyclic_group(3)] * 20), True),
+    ("50 x Z3", lambda gq: gq.disjoint_union([gq.cyclic_group(3)] * 50), True),
+    ("S4", lambda gq: gq.symmetric_group(4), True),
+]
 
-def shapes(gq):
-    yield "pair(8)", gq.pair_groupoid(8)
-    yield "pair(12)", gq.pair_groupoid(12)
-    yield "pair(16)", gq.pair_groupoid(16)
-    yield "pair(20)", gq.pair_groupoid(20)
-    yield "5 x S3", gq.disjoint_union([gq.symmetric_group(3)] * 5)
-    yield "20 x Z3", gq.disjoint_union([gq.cyclic_group(3)] * 20)
-    yield "50 x Z3", gq.disjoint_union([gq.cyclic_group(3)] * 50)
-    yield "S4", gq.symmetric_group(4)
+# run in a fresh process: the peak RSS of one verdict on one shape, from one checkout.  It reads VmHWM, the
+# high-water mark of the process's own memory since exec; ru_maxrss would also count the forking parent's.
+RSS_RUN = """
+import sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[2]]
+import groupoidqm as gq
+from ladder_verdict import SHAPES
+gq.classicality_verdict(dict((name, build) for name, build, _ in SHAPES)[sys.argv[3]](gq))
+print(next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:")) / 1024)
+"""
+
+
+def peak_rss_mb(root: Path, name: str) -> float:
+    """Peak RSS in MB of a fresh process that runs one verdict on shape ``name`` with the checkout at ``root``."""
+    out = subprocess.run([sys.executable, "-c", RSS_RUN, str(root.resolve()), str(Path(__file__).resolve().parent), name],
+                         check=True, capture_output=True, text=True).stdout
+    return round(float(out), 1)
 
 
 def decided(v) -> dict:
@@ -53,24 +73,30 @@ def decided(v) -> dict:
 
 
 def compare(old_root: Path, new_root: Path, repeats: int) -> dict:
-    """Per shape: both sides' fastest of ``repeats`` alternating calls, and whether they decide alike."""
+    """Per shape: both sides' fastest of ``repeats`` alternating calls (NEW's alone where OLD does not run), their
+    peak RSS, and whether they decide alike."""
     old, new = import_package(old_root), import_package(new_root)
     result = {}
-    for (name, g_old), (_, g_new) in zip(shapes(old), shapes(new)):
-        last = [None, None]
+    for name, build, with_old in SHAPES:
+        sides = [(old, build(old)), (new, build(new))] if with_old else [(new, build(new))]
+        last = [None] * len(sides)
 
-        def run(k, gq, g):
+        def run(k):
             last[k] = None  # a side's previous verdict is freed before its next call
-            last[k] = gq.classicality_verdict(g)
+            last[k] = sides[k][0].classicality_verdict(sides[k][1])
 
-        best = fastest_alternating((lambda: run(0, old, g_old), lambda: run(1, new, g_new)), repeats)
-        a, b = (decided(v) for v in last)
-        result[name] = {
-            "transitions": g_new.n_transitions, "old_s": best[0], "new_s": best[1], "summary": b["summary"],
-            "same_decision": all(a[k] == b[k] for k in ("summary", "routes", "witness")),
-            "residual_difference": None if a["residual"] is None or b["residual"] is None
-            else abs(a["residual"] - b["residual"]),
-        }
+        best = fastest_alternating([lambda k=k: run(k) for k in range(len(sides))], repeats)
+        b = decided(last[-1])
+        row = {"transitions": sides[-1][1].n_transitions, "old_s": best[0] if with_old else None, "new_s": best[-1],
+               "old_rss_mb": peak_rss_mb(old_root, name) if with_old else None, "new_rss_mb": peak_rss_mb(new_root, name),
+               "summary": b["summary"], "consistent": last[-1].consistent}
+        if with_old:
+            a = decided(last[0])
+            row["same_decision"] = all(a[k] == b[k] for k in ("summary", "routes", "witness"))
+            row["residual_difference"] = (None if a["residual"] is None or b["residual"] is None
+                                          else abs(a["residual"] - b["residual"]))
+        result[name] = row
+        del sides, last
     return result
 
 

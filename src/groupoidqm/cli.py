@@ -135,7 +135,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _violation(v, labels) -> dict:
-    return {"law": v.law, "operands": [labels[i] or f"#{i}" for i in v.operands], "residual": v.residual}
+    row = {"law": v.law, "operands": [labels[i] or f"#{i}" for i in v.operands], "residual": v.residual}
+    return row if v.angle is None else {**row, "angle": v.angle}
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
@@ -151,7 +152,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         "triples_tested": report.triples_tested,
         "violations": rows,
     }
-    _emit(args, payload, lambda: report.summary() + "\n" + _table("law\toperands\tresidual", (r.values() for r in rows)))
+    _emit(args, payload, lambda: report.summary() + "\n" + _table("law\toperands\tresidual", (list(r.values())[:3] for r in rows)))
     return 0
 
 
@@ -169,6 +170,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "witness": None if verdict.witness is None else _violation(verdict.witness, verdict.propositions.labels),
         "lattice_summary": verdict.report.summary(),
         "pairs_by_support": verdict.report.pairs_by_support,
+        # the family's worst self-adjointness and idempotency residuals, which certify its members
+        "certification_residuals": dict(zip(("adjoint", "idempotent"), verdict.propositions.residuals.max(axis=1).tolist())),
     }
     _emit(args, payload, lambda: f"classical: {str(verdict.is_classical).lower()}\n" + verdict.describe())
     return 0

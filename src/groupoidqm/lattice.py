@@ -6,16 +6,16 @@ alternating products, the projection onto ran P ∩ ran Q, which is the
 eigenvalue-1 eigenspace of P Q P: one eigendecomposition of the
 symmetrized seed gives it in closed form, and the public `meet` replays
 the pin-and-square schedule on the eigenvalues alone.  The join
-is obtained from meets and complements.  All of this works on stacks
-of matrices; each tolerance test is decided exactly by a Frobenius
-bracket around the spectral norm, and reported residuals are spectral
-norms.  A family generates a Boolean lattice exactly when its members
-are pairwise compatible, P = (P ∧ Q) ∨ (P ∧ Q′), so that law on a
-generating family of C*(G) decides the classicality question, which
-`classicality_verdict` answers three independent ways.  As C*(G) ≅
-⊕_orbits M_{|O|}(ℂ[G_x]), it builds the family (`_family`) and runs the laws
-and the commutators on one block per orbit (`orbit_blocks`), where the dense
-`canonical_propositions` and `check_boolean` are the same on one block.
+is obtained from meets and complements.  A family generates a Boolean
+lattice exactly when its members are pairwise compatible, P = (P ∧ Q) ∨
+(P ∧ Q′), which `classicality_verdict` decides on a generating family of
+C*(G) from the principal angles between the members' ranges (C. Jordan,
+*Bull. SMF* 3, 1875), the arccosines of the singular values of U_Pᴴ U_Q for
+P = U_P U_Pᴴ (Å. Björck and G. H. Golub, *Math. Comp.* 27, 1973): P and Q
+commute exactly when every angle is 0 or π/2 (P. R. Halmos, *Trans. AMS*
+144, 1969).  As C*(G) ≅ ⊕_orbits M_{|O|}(ℂ[G_x]), it builds the family
+(`_family`) and runs the laws and the commutators on one block per orbit
+(`orbit_blocks`); `canonical_propositions` and `check_boolean` are one block.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ DEFAULT_TOL = 1e-9
 MEET_TOL = 1e-12
 MEET_MAX_ITER = 500
 MEET_PIN_TOL = 1e-12
-# `check_boolean` processes its stacks of matrices this many complex entries
-# (128 KiB) at a time.  classicality_verdict(pair_groupoid(5)) then peaks at
-# 1.4 MiB traced (1.0 at half the chunk, 2.4 at twice it, all 0.05 s); pair(6)
-# and S4 run within 15% of the faster neighbour (2 cores, numpy 2.4).
+# The lattice engine and route three process their stacks of matrices this many
+# complex entries (128 KiB) at a time.
 CHUNK_ENTRIES = 8192
 
 
@@ -128,8 +126,11 @@ def certify_proposition(
 def _residuals(stacks: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
     """Self-adjointness and idempotency residuals, shape (2, n), of members given as one stack per block: the
     largest over the blocks, the operator norms of the block-diagonal members.  The first failure raises."""
-    res = np.array([np.max([_norms(m - _adjoint(m)) for m in stacks], axis=0),
-                    np.max([_norms(m @ m - m) for m in stacks], axis=0)])
+    res = np.zeros((2, len(stacks[0])))
+    for m in stacks:
+        for row, x in enumerate((m - _adjoint(m), m @ m - m)):
+            nz = np.flatnonzero(x.any(axis=(-2, -1)))  # an exact 0 needs no SVD
+            res[row, nz] = np.maximum(res[row, nz], _norms(x[nz]))
     bad = np.flatnonzero(~(res <= tol).all(axis=0))
     if bad.size:
         raise CertificationError(*res[:, bad[0]].tolist())
@@ -238,12 +239,6 @@ def join(p: Proposition, q: Proposition, tol: float = MEET_TOL, max_iter: int = 
     return certify_proposition(m, rep=p.rep, label=_binary_label("or", p, q))
 
 
-def _join_m(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    eye = np.eye(p.shape[-1])
-    m = _meet_m(eye - p, eye - q)
-    return np.subtract(eye, m, out=m)
-
-
 def _binary_label(opname: str, p: Proposition, q: Proposition) -> str | None:
     if p.label is None or q.label is None:
         return None
@@ -296,23 +291,26 @@ def _eigen_clusters(blocks: Sequence[np.ndarray], mult: Sequence[int], cluster_t
     spectrum is the ascending union of its blocks' spectra, block b's eigenvalues ``mult[b]`` times; a
     cluster is a slice of it that ends wherever the gap to the next eigenvalue exceeds ``cluster_tol``.
     """
-    bad = np.any([_exceeds(m - _adjoint(m), 1e-8) for m in blocks], axis=0)
+    skew = [m - _adjoint(m) for m in blocks]  # exactly 0 for an element built self-adjoint, which needs no norm
+    bad = np.any([_exceeds(x, 1e-8) if x.any() else np.zeros(len(x), dtype=bool) for x in skew], axis=0)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"operator is not self-adjoint (residual {max(operator_norm(m[k] - _adjoint(m[k])) for m in blocks):.3e})")
+        raise ValueError(f"operator is not self-adjoint (residual {max(operator_norm(x[k]) for x in skew):.3e})")
     eig = [np.linalg.eigh((m + _adjoint(m)) / 2.0) for m in blocks]
     union = np.sort(np.concatenate([np.repeat(w, k, axis=-1) for (w, _), k in zip(eig, mult)], axis=-1), axis=-1)
     bounds = [[0, *(np.flatnonzero(np.diff(row) > cluster_tol) + 1).tolist(), row.size] for row in union]
     return eig, union, [[slice(a, b) for a, b in zip(e, e[1:]) if b > a] for e in bounds]
 
 
-def _cluster_projections(eig: list, union: np.ndarray, k: int, clusters: list[slice], prefix: str = "") -> list[tuple]:
-    """(matrices, label) of the projection onto each given cluster of element k of `_eigen_clusters`: its matrix on
-    each block, from the block's eigenvectors in the cluster, which are a slice of the block's ascending spectrum.
-    The label's mean is ``np.mean``'s, one ``np.add.reduce`` divided by the count."""
+def _cluster_projections(eig: list, union: np.ndarray, k: int, clusters: list[slice], cluster_tol: float,
+                         prefix: str = "") -> list[tuple]:
+    """(isometries, label) of the projection U Uᴴ onto each given cluster of element k of `_eigen_clusters`: on each
+    block, U is the block's eigenvectors in the cluster, a slice of its ascending spectrum.  The label's mean is
+    ``np.mean``'s, one ``np.add.reduce`` divided by the count, printed as 0 below ``cluster_tol`` (rounding noise)."""
     row, spectra = union[k].tolist(), [(w[k].tolist(), v[k]) for w, v in eig]
-    return [([u @ u.conj().T for u in (v[:, bisect_left(w, row[c.start]):bisect_right(w, row[c.stop - 1])] for w, v in spectra)],
-             f"{prefix}eig[{float(np.add.reduce(union[k, c])) / (c.stop - c.start):.4g}]") for c in clusters]
+    means = [float(np.add.reduce(union[k, c])) / (c.stop - c.start) for c in clusters]
+    return [([v[:, bisect_left(w, row[c.start]):bisect_right(w, row[c.stop - 1])] for w, v in spectra],
+             f"{prefix}eig[{mean if abs(mean) >= cluster_tol else 0.0:.4g}]") for c, mean in zip(clusters, means)]
 
 
 def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, rep: str = LEFT_REGULAR) -> list[Proposition]:
@@ -326,8 +324,8 @@ def spectral_projections(op: Operator | np.ndarray, cluster_tol: float = 1e-8, r
     else:
         m = np.asarray(op, dtype=complex)
     eig, union, clusters = _eigen_clusters([m[None]], [1], cluster_tol)
-    members = _cluster_projections(eig, union, 0, clusters[0])
-    mats = np.reshape([p for (p,), _ in members], (-1, *m.shape))
+    members = _cluster_projections(eig, union, 0, clusters[0], cluster_tol)
+    mats = np.reshape([u @ u.conj().T for (u,), _ in members], (-1, *m.shape))
     return [Proposition(p, rep, a, i, label) for p, (a, i), (_, label) in zip(mats, _residuals([mats]).T.tolist(), members)]
 
 
@@ -358,7 +356,8 @@ def _family(g: Groupoid, blocks: Sequence[np.ndarray], samples: int, seed: int, 
     """`canonical_propositions` on invariant blocks covering the basis (rows of `orbit_blocks`), each element
     represented on each block's row 0.  Residuals are a member's largest over its blocks, and the Frobenius
     distance that drops duplicates weighs block b by √(rows of b), so both are the whole matrix's.  A sample's
-    draw depends on its clusters, whose count is the whole space's, so samples run one by one."""
+    draw depends on its clusters, whose count is the whole space's, so samples run one by one.  Each member keeps
+    its ranges (`_isometries`), eigenvectors of its element, as the one ``eigh`` per block also takes the images."""
     if samples < 0:
         raise ValueError(f"the number of random eigenprojections (--samples) must be non-negative, got {samples}")
     pairs = [t for t in range(g.n_transitions) if t <= g.inverse(t)]
@@ -375,10 +374,10 @@ def _family(g: Groupoid, blocks: Sequence[np.ndarray], samples: int, seed: int, 
     mult = [len(rows) for rows in blocks]
     head = g.n_objects + len(links)
     labels = [f"unit[{g.label(x)}]" for x in range(g.n_objects)] + [f"superpose[{t}]" for t in links]
-    members = [([m[i] for m in images], label) for i, label in enumerate(labels)]
-    eig, union, clusters = _eigen_clusters([m[head:] for m in images], mult, 1e-8)
-    for k, s in enumerate(np.repeat(loops, 2).tolist()):
-        members += _cluster_projections(eig, union, k, clusters[k][:-1], f"{('sym', 'skew')[k % 2]}[{s}]:")
+    eig, union, clusters = _eigen_clusters(images, mult, 1e-8)
+    members = [([v[i][:, (w[i] <= 0.5).sum():] for w, v in eig], label) for i, label in enumerate(labels)]
+    for k, s in enumerate(np.repeat(loops, 2).tolist(), head):
+        members += _cluster_projections(eig, union, k, clusters[k][:-1], 1e-8, f"{('sym', 'skew')[(k - head) % 2]}[{s}]:")
     rng = np.random.default_rng(seed)
     n = g.n_transitions
     for _ in range(samples):
@@ -387,31 +386,54 @@ def _family(g: Groupoid, blocks: Sequence[np.ndarray], samples: int, seed: int, 
         eig, union, clusters = _eigen_clusters([_represent(g, rep, np.arange(n)[None], sym[None], rows[0])
                                                 for rows in blocks], mult, 1e-8)
         pick = int(rng.integers(len(clusters[0])))
-        members += _cluster_projections(eig, union, 0, clusters[0][pick:pick + 1])
+        members += _cluster_projections(eig, union, 0, clusters[0][pick:pick + 1], 1e-8)
     sizes = [rows.shape[1] for rows in blocks]
     ends, flat = np.cumsum(np.square(sizes)), np.empty((len(members), sum(r * r for r in sizes)), dtype=complex)
     stacks = [flat[:, e - r * r:e].reshape(-1, r, r) for e, r in zip(ends, sizes)]
-    for b, stack in enumerate(stacks):  # member i's matrices on the blocks are row i of flat
-        np.stack([m[b] for m, _ in members], out=stack)
-    residuals = _residuals(stacks)
-    weight, keep = np.repeat(mult, np.square(sizes)), np.zeros(len(members), dtype=bool)
-    for k in range(len(members)):  # against the kept members, about CHUNK_ENTRIES entries per call
-        keep[k] = all((np.abs(flat[s][keep[s]] - flat[k]) ** 2 @ weight > DEFAULT_TOL ** 2).all()
-                      for s in _chunks(k, int(flat.shape[1] ** 0.5)))
+    for b, (stack, m) in enumerate(zip(stacks, images)):  # member i's matrices on the blocks are row i of flat
+        stack[:head] = m[:head]  # a unit's or superposition's matrices are its images
+        for i, (us, _) in enumerate(members[head:], head):
+            stack[i] = us[b] @ us[b].conj().T
+    residuals, ranges = _residuals(stacks), [_isometries([us[b] for us, _ in members], r) for b, r in enumerate(sizes)]
+    # duplicates: the members' Hilbert–Schmidt Gram, Σ_b rows_b Re tr P_b Q_b, gives ‖P − Q‖_F² = tr P + tr Q − 2 tr P Q
+    # to far within a margin of 1e-9, and the exact distance decides the pairs it puts within that margin
+    hs = sum(k * (x @ x.T) for x, k in ((m.reshape(len(m), -1).view(float), k) for m, k in zip(stacks, mult)))
+    near = np.argwhere(np.tril(hs.diagonal()[:, None] + hs.diagonal() - 2.0 * hs <= 1e-9, -1))  # (later, earlier)
+    keep, weight = np.ones(len(members), dtype=bool), np.repeat(mult, np.square(sizes))
+    for k, s in near[~(np.abs(flat[near[:, 0]] - flat[near[:, 1]]) ** 2 @ weight > DEFAULT_TOL ** 2)].tolist():
+        keep[k] &= not keep[s]
     return _BlockFamily(tuple(label for (_, label), kept in zip(members, keep) if kept), blocks,
-                        [flat[keep, e - r * r:e].reshape(-1, r, r) for e, r in zip(ends, sizes)], residuals[:, keep], rep)
+                        [flat[keep, e - r * r:e].reshape(-1, r, r) for e, r in zip(ends, sizes)], residuals[:, keep], rep,
+                        [(iso[keep], rank[keep]) for iso, rank in ranges])
+
+
+def _isometries(us: Sequence[np.ndarray], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(isometries, ranks) of members on an r-dimensional block from orthonormal bases ``us`` of their ranges, as
+    ``(n, r, k)`` with k the largest rank below r: zero columns pad the smaller ranks, and a member 0 or I is 0."""
+    rank = np.array([u.shape[-1] for u in us], dtype=int)
+    iso = np.zeros((len(us), r, int(rank[rank < r].max(initial=0))), dtype=complex)
+    for i in np.flatnonzero((rank > 0) & (rank < r)).tolist():
+        iso[i, :, :rank[i]] = us[i]
+    return iso, rank
+
+
+def _ranges(stacks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`_isometries` of each stack of projections from one batched ``eigh``: the eigenvectors with eigenvalue above ½."""
+    return [_isometries([x[:, c:] for x, c in zip(v, (w <= 0.5).sum(axis=-1))], m.shape[-1])
+            for m, (w, v) in zip(stacks, map(np.linalg.eigh, stacks))]
 
 
 @dataclass(frozen=True, eq=False)
 class _BlockFamily(Sequence):
-    """A family as one ``(n, r, r)`` stack per block of ``blocks`` (`_family`).  Member i is lifted to its d x d
-    `Proposition`, its block matrix on every row of each block and 0 elsewhere, only when read; ``labels`` lifts none."""
+    """A family as one ``(n, r, r)`` stack and its ``ranges`` (`_isometries`) per block of ``blocks`` (`_family`).  Member
+    i is lifted to its d x d `Proposition`, its block matrix on every row of each block and 0 elsewhere, only when read."""
 
     labels: tuple[str, ...]
     blocks: Sequence[np.ndarray]
     stacks: list[np.ndarray]
     residuals: np.ndarray  # (2, n): self-adjointness and idempotency
     rep: str
+    ranges: list[tuple[np.ndarray, np.ndarray]]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -428,9 +450,13 @@ class _BlockFamily(Sequence):
 
 @dataclass(frozen=True)
 class LawViolation:
+    """A law failing on members ``operands``: its residual, and for compatibility the witness principal angle, of
+    the angles between the two ranges that are neither 0 nor π/2 the one farthest from both."""
+
     law: str
     operands: tuple[int, ...]
     residual: float
+    angle: float | None = None
 
     def describe(self, props: Sequence[Proposition] | None = None) -> str:
         # a verdict's family names its members without lifting them
@@ -444,7 +470,7 @@ class LatticeReport:
     """Laws tested on n propositions.  ``pairs_tested`` is n(n+1)/2; ``triples_tested``
     counts the compatibility triples (P_i, P_j, P_j′), i < j, decided: n(n-1)/2, or under
     ``fail_fast`` up to the first violation (none if an order law failed first), and
-    ``pairs_by_support`` those decided without a meet, as no block has both proper."""
+    ``pairs_by_support`` those decided by support alone, as no block has both proper."""
 
     n_propositions: int
     pairs_tested: int
@@ -478,9 +504,9 @@ class LatticeReport:
         return head + f"not Boolean ({counts}; worst residual {self.max_residual:.3e})"
 
 
-def _chunks(count: int, d: int):
-    """Index slices covering ``range(count)``, ``CHUNK_ENTRIES`` entries of d x d matrices each."""
-    step = max(1, CHUNK_ENTRIES // (d * d))
+def _chunks(count: int, size: int):
+    """Index slices covering ``range(count)``, ``CHUNK_ENTRIES`` entries of items of ``size`` entries each."""
+    step = max(1, CHUNK_ENTRIES // max(1, size))
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 
@@ -497,95 +523,111 @@ def check_boolean(
     ordered triples, and compatibility, P_i = (P_i ∧ P_j) ∨ (P_i ∧ P_j′) (the
     meets are orthogonal, so the join is their sum), over pairs i < j: P_i and
     P_j commute, and commuting members generate a Boolean lattice
-    (Foulis–Holland).  Residuals are operator norms of the two sides' difference.
-    Every law runs on stacks in chunks of ``CHUNK_ENTRIES`` entries, decided by
-    the Frobenius bracket of ``_exceeds``; only the violators' residuals are
-    computed.  Violations come in the order of the loops above; ``fail_fast``
-    stops at the first.  This is `_check_blocks` on one block, the whole space.
+    (Foulis–Holland).  The laws are decided from the principal angles between
+    the members' ranges (Jordan, 1875).  Residuals are operator norms of the two
+    sides' difference, taken with the meets of `_meet_m` on the d x d members,
+    only for the violators.  Violations come in the order of the loops above;
+    ``fail_fast`` stops at the first.  This is `_check_blocks` on one block, the
+    whole space.
     """
     if not props:
         return LatticeReport(0, 0, 0, (), note)
-    none = np.zeros((1, len(props)), dtype=bool)  # no member is taken as 0 or I
-    return _check_blocks([np.stack([p.matrix for p in props])], none, none, tol, fail_fast, note)
+    stack = np.stack([p.matrix for p in props])
+    return _check_blocks([stack], _ranges([stack]), tol, fail_fast, note)
 
 
-def _check_blocks(blocks: Sequence[np.ndarray], zero: np.ndarray, full: np.ndarray, tol: float, fail_fast: bool,
-                  note: str) -> LatticeReport:
+def _check_blocks(blocks: Sequence[np.ndarray], ranges: Sequence[tuple[np.ndarray, np.ndarray]], tol: float,
+                  fail_fast: bool, note: str, joint: bool = False) -> LatticeReport:
     """`check_boolean` on block-diagonal members, given as one ``(n, r, r)`` stack per block.
 
-    Member i is 0 on block b where ``zero[b, i]``, I where ``full[b, i]``, else
-    proper.  Where P is 0 or I the order needs no product (0 is below all, all
-    below I, I below nothing proper, nothing proper below 0) and no law can fail:
-    P ≤ Q ≤ P forces Q = P, Q = P ∨ (Q ∧ P′) and both compatibility identities
-    hold when either side is 0 or I, and P ≤ Q ≤ R, P ≰ R needs all three proper
-    where it fails.  So a law runs on the blocks where its operands are proper,
-    and its residual is the largest there, the norm of a block-diagonal matrix.
-    A compatibility pair with no such block counts in ``pairs_by_support``.
+    ``ranges`` holds each member's range on each block, P = U Uᴴ (`_isometries`).  Where P is 0
+    or I no law can fail and the order needs no product (0 is below all, all below I, I below
+    nothing proper), so a law runs on the blocks where its operands are proper, and its residual
+    is the largest there; a compatibility pair with no such block counts in ``pairs_by_support``.
+    The blocks U_iᴴ U_j of the proper members' Gram matrix, ``CHUNK_ENTRIES`` entries at a
+    time, decide: their squared singular values μ, pinned to 0 or 1 as `_meet_m` pins them,
+    are all pinned exactly when P_i and P_j commute; P_i ≤ P_j when ‖U_i − U_j U_jᴴ U_i‖₂ ≤ tol,
+    computed where tr P_i P_j allows it (1 − μ cannot resolve 1e-9); antisymmetry follows, as
+    ‖P − Q‖ is the larger of ‖(I − Q) P‖ and ‖(I − P) Q‖ (Kato); a broken chain is a path of
+    two in the order.  Residuals are computed on the block, or under ``joint`` (the verdict)
+    on a basis of ran P_i + ran P_j where that is smaller: `check_boolean` keeps the d x d
+    members as the reference for the verdict's residuals.
     """
-    n = blocks[0].shape[0]
-    proper = ~(zero | full)
-    pairs = n * (n + 1) // 2
-    violations: list[LawViolation] = []
+    n, violations = blocks[0].shape[0], []
+    proper = [(rank > 0) & (rank < m.shape[-1]) for m, (_, rank) in zip(blocks, ranges)]
 
     def done() -> bool:
         return fail_fast and bool(violations)
 
     def worst(i: np.ndarray, j: np.ndarray, law) -> np.ndarray:
-        """Largest ‖law(mats, i, j)‖₂ above ``tol`` over the blocks where both members are proper, else 0."""
+        """Largest ‖law(P, Q, I)‖₂ above ``tol`` over the blocks where both members are proper, else 0."""
         out = np.zeros(len(i))
-        for mats, ok in zip(blocks, proper):
-            k = np.flatnonzero(ok[i] & ok[j])
-            for s in _chunks(k.size, mats.shape[-1]):
-                x = law(mats, i[k[s]], j[k[s]])
+        for mats, (u, _), ok in zip(blocks, ranges, proper):
+            r, side, k = mats.shape[-1], 2 * u.shape[-1], np.flatnonzero(ok[i] & ok[j])
+            reduce = joint and side < r
+            for s in _chunks(k.size, r * (side if reduce else r)):
+                a, c = i[k[s]], j[k[s]]
+                if reduce:  # on an orthonormal basis of a space holding both ranges
+                    w = _adjoint(np.linalg.qr(np.concatenate([u[a], u[c]], axis=-1))[0])
+                    p, q = w @ u[a], w @ u[c]
+                    x = law(p @ _adjoint(p), q @ _adjoint(q), np.eye(side))
+                else:
+                    x = law(mats[a], mats[c], np.eye(r))
                 over = _exceeds(x, tol)
                 out[k[s][over]] = np.maximum(out[k[s][over]], _norms(x[over]))
         return out
 
-    # order: P_i below P_j when P_i P_j = P_i on every block
-    below = np.ones((n, n), dtype=bool)
-    for mats, ok, z, f in zip(blocks, proper, zero, full):
-        on = z[:, None] | f[None, :]
-        oi, oj = np.nonzero(ok[:, None] & ok[None, :])
-        for s in _chunks(oi.size, mats.shape[-1]):
-            on[oi[s], oj[s]] = ~_exceeds(mats[oi[s]] @ mats[oj[s]] - mats[oi[s]], tol)
+    # per block: the order, and for each pair i < j the μ of its unpinned angle farthest from 0 and π/2
+    below, spread, witness = np.ones((n, n), dtype=bool), np.full((n, n), -1.0), np.zeros((n, n))
+    for mats, (iso, rank), ok in zip(blocks, ranges, proper):
+        r, idx = mats.shape[-1], np.flatnonzero(ok)
+        on, u, rank = (rank == 0)[:, None] | (rank == r)[None, :], iso[idx], rank[idx]
+        m, k = u.shape[0], u.shape[-1]
+        flat = u.transpose(1, 0, 2).reshape(r, m * k)
+        for s in _chunks(m, m * k * k):  # rows s of the Gram, as (|s|, m, k, k)
+            gram = (_adjoint(u[s]) @ flat).reshape(-1, k, m, k).transpose(0, 2, 1, 3)
+            a, c = np.nonzero(rank[s, None] - (np.abs(gram) ** 2).sum(axis=(2, 3)) <= rank[s, None] * (tol * tol + 1e-12))
+            for t in _chunks(a.size, r * k):
+                on[idx[a[t] + s.start], idx[c[t]]] = ~_exceeds(u[a[t] + s.start] - u[c[t]] @ _adjoint(gram[a[t], c[t]]), tol)
+            a, c = np.nonzero(np.arange(s.start, s.stop)[:, None] < np.arange(m))
+            if a.size and k:
+                x = gram[a, c]
+                mu = (np.abs(x[..., 0]) if k == 1 else np.linalg.svd(x, compute_uv=False)) ** 2
+                far = np.where((mu * mu >= 1.0 - MEET_PIN_TOL) | ((1.0 - mu) ** 2 >= 1.0 - MEET_PIN_TOL), -1.0, np.minimum(mu, 1.0 - mu))
+                t, (a, c) = (np.arange(len(x)), far.argmax(axis=-1)), (idx[a + s.start], idx[c])
+                take = far[t] > spread[a, c]
+                spread[a[take], c[take]], witness[a[take], c[take]] = far[t][take], mu[t][take]
         below &= on
 
-    # pair laws over the ordered pairs i != j with P_i below P_j, in row-major order
-    bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
-    mutual = below[bj, bi]
-    anti_res = worst(bi, bj, lambda m, i, j: m[i] - m[j])
-    # orthomodularity: Q recovers as P or (Q and not P)
-    ortho_res = worst(bi, bj, lambda m, i, j: m[j] - _join_m(m[i], _meet_m(m[j], np.eye(m.shape[-1]) - m[i])))
-    for t in range(bi.size):
-        if done():
-            break
-        i, j = int(bi[t]), int(bj[t])
-        if mutual[t] and not anti_res[t] <= tol:
-            violations.append(LawViolation("antisymmetry", (i, j), float(anti_res[t])))
-        elif not ortho_res[t] <= tol:
-            violations.append(LawViolation("orthomodularity", (i, j), float(ortho_res[t])))
+    # orthomodularity over the ordered pairs i != j with P_i below P_j, in row-major order: Q = P or (Q and not P)
+    off = below & ~np.eye(n, dtype=bool)
+    bi, bj = np.nonzero(off)
+    res = worst(bi, bj, lambda p, q, e: q - (e - _meet_m(e - p, e - _meet_m(q, e - p))))
+    bad = np.flatnonzero(~(res <= tol))[:1 if fail_fast else None]
+    violations += [LawViolation("orthomodularity", (i, j), r) for i, j, r in zip(bi[bad].tolist(), bj[bad].tolist(), res[bad].tolist())]
 
-    # i = j or j = k can never break; i = k only when a member is not below itself
-    broken = below[:, :, None] & below[None, :, :] & ~below[:, None, :] & ~np.eye(n, dtype=bool)[:, None, :]
-    tri = np.argwhere(broken)[: 0 if done() else 1 if fail_fast else None]
-    tri_res = worst(tri[:, 0], tri[:, 2], lambda m, i, k: m[i] @ m[k] - m[i])
-    violations += [LawViolation("transitivity", (i, j, k), float(r)) for (i, j, k), r in zip(tri.tolist(), tri_res)]
+    # P_i ≤ P_j ≤ P_k, P_i ≰ P_k (i, j, k distinct): a path of two in ``off`` where ``below`` has no edge
+    mid = np.flatnonzero(off.any(axis=0) & off.any(axis=1))
+    broken = (off[:, mid].astype(float) @ off[mid].astype(float) > 0) & ~below & ~np.eye(n, dtype=bool)
+    tri = [(i, j, k) for i in np.flatnonzero(broken.any(axis=1)).tolist() for j in mid[off[i, mid]].tolist()
+           for k in np.flatnonzero(off[j] & broken[i]).tolist()][: 0 if done() else 1 if fail_fast else None]
+    tri = np.array(tri, dtype=np.intp).reshape(-1, 3)
+    res = worst(tri[:, 0], tri[:, 2], lambda p, q, e: p @ q - p)
+    violations += [LawViolation("transitivity", (i, j, k), r) for (i, j, k), r in zip(tri.tolist(), res.tolist())]
 
-    # compatibility of every pair i < j, in row-major order
-    ci, cj = np.triu_indices(n, 1)
-    met = (proper[:, ci] & proper[:, cj]).any(axis=0)
-
-    def report(decided: int) -> LatticeReport:
-        return LatticeReport(n, pairs, decided, tuple(violations), note, decided - int(met[:decided].sum()))
-
-    decided = 0 if done() else ci.size
-    for s in _chunks(decided, max(m.shape[-1] for m in blocks)):
-        res = worst(ci[s], cj[s], lambda m, i, j: m[i] - _meet_m(m[i], m[j]) - _meet_m(m[i], np.eye(m.shape[-1]) - m[j]))
-        for t in np.flatnonzero(~(res <= tol)).tolist():
-            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
-            if done():
-                return report(s.start + t + 1)
-    return report(decided)
+    # compatibility of every pair i < j, in row-major order: only an unpinned pair can fail
+    skip = done()
+    ui, uj = np.nonzero(spread >= 0) if not skip else (np.zeros(0, dtype=np.intp),) * 2
+    res = worst(ui, uj, lambda p, q, e: p - _meet_m(p, q) - _meet_m(p, e - q))
+    bad = np.flatnonzero(~(res <= tol))[:1 if fail_fast else None]
+    angle = np.arccos(np.sqrt(np.clip(witness[ui[bad], uj[bad]], 0.0, 1.0)))
+    violations += [LawViolation("compatibility", (i, j), r, a)
+                   for i, j, r, a in zip(ui[bad].tolist(), uj[bad].tolist(), res[bad].tolist(), angle.tolist())]
+    i, j = (int(ui[bad[0]]), int(uj[bad[0]])) if fail_fast and bad.size else (n - 2, n - 1)
+    decided = 0 if skip else i * n - i * (i + 1) // 2 + j - i
+    ci, cj = np.nonzero(~np.tri(n, dtype=bool))
+    met = np.any([ok[ci[:decided]] & ok[cj[:decided]] for ok in proper], axis=0)
+    return LatticeReport(n, n * (n + 1) // 2, decided, tuple(violations), note, decided - int(met.sum()))
 
 
 # -- the classicality theorem, three ways ---------------------------------
@@ -660,11 +702,7 @@ def classicality_verdict(
     blocks = orbit_blocks(g, rep)
     props = _family(g, blocks, samples, seed, rep)
     note = f"canonical family: units, superpositions, loop eigenprojections, {samples} random eigenprojections"
-    # a member is trivial on a block within DEFAULT_TOL of 0 or I there; a certified member's block is
-    # a projection, of norm 0 or 1, so the Frobenius norm alone decides
-    zero = np.array([~_exceeds(m, DEFAULT_TOL) for m in props.stacks])
-    full = np.array([~_exceeds(np.eye(m.shape[-1]) - m, DEFAULT_TOL) for m in props.stacks])
-    report = _check_blocks(props.stacks, zero, full, tol, fail_fast, note)
+    report = _check_blocks(props.stacks, props.ranges, tol, fail_fast, note, joint=True)
 
     td = is_totally_disconnected(g)
     ab_iso = has_abelian_isotropy(g)
@@ -679,7 +717,7 @@ def classicality_verdict(
         ci, cj = np.triu_indices(len(images), 1)
         abelian_alg = abelian_alg and not any(
             _exceeds(images[ci[s]] @ images[cj[s]] - images[cj[s]] @ images[ci[s]], 1e-10).any()
-            for s in _chunks(ci.size, images.shape[-1])
+            for s in _chunks(ci.size, images.shape[-1] ** 2)
         )
 
     witness = report.violations[0] if report.violations else None

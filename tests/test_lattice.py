@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from groupoidqm import (
     classicality_verdict,
     complement,
     cyclic_group,
+    direct_product,
     disjoint_union,
     is_proposition,
     join,
@@ -36,14 +38,160 @@ from groupoidqm import (
 )
 from groupoidqm.formats import fixture_path, load_groupoid
 from groupoidqm import lattice
-from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, involution, representation_matrix
-from groupoidqm.lattice import DEFAULT_TOL, LawViolation, _check_blocks, _chunks, _join_m, _meet_m, meet_unsymmetrized
+from groupoidqm.algebra import FUNDAMENTAL, LEFT_REGULAR, AlgebraElement, _exceeds, _norms, involution, representation_matrix
+from groupoidqm.lattice import (
+    DEFAULT_TOL,
+    MEET_PIN_TOL,
+    LatticeReport,
+    LawViolation,
+    _check_blocks,
+    meet_unsymmetrized,
+)
 
 from conftest import dihedral_group, quaternion_group, random_groupoids, random_projection
 
 
 def certified(m: np.ndarray):
     return certify_proposition(np.asarray(m, dtype=complex))
+
+
+# -- the meet-based engine that the principal angles replaced, kept as a reference ---------
+#
+# `_meet_eigh`, `_meet_m`, `_join_m`, `_chunks` and the laws of `old_check_blocks` are the lattice
+# engine as it stood before the laws were decided from the Gram matrix of the members' ranges,
+# verbatim but for the engine's name: every pair's compatibility by two meets, the order by a
+# product of every ordered pair, and transitivity from an (n, n, n) tensor.
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(x, -1, -2))
+
+
+def _meet_eigh(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the symmetrized P Q P, one ``eigh`` per matrix of a stack."""
+    x = p @ q @ p
+    return np.linalg.eigh(0.5 * (x + _adjoint(x)))
+
+
+def _meet_m(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Meets of stacks of projections, shape ``(..., d, d)``, in closed form.
+
+    The limit of (P Q P)^n is the spectral projection of P Q P for eigenvalue
+    1, the projection onto ran P ∩ ran Q (von Neumann, *Functional Operators*
+    II, 1950).  Directions in both ranges carry eigenvalue 1 only up to
+    rounding, so each μ with μ² ≥ 1 − ``MEET_PIN_TOL`` becomes 1 and every
+    other 0: the limit of `meet`'s squaring schedule, without the squarings.
+    """
+    mu, v = _meet_eigh(p, q)
+    return (v * (mu * mu >= 1.0 - MEET_PIN_TOL)[..., None, :]) @ _adjoint(v)
+
+
+def _join_m(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    eye = np.eye(p.shape[-1])
+    m = _meet_m(eye - p, eye - q)
+    return np.subtract(eye, m, out=m)
+
+
+CHUNK_ENTRIES = 8192
+
+
+def _chunks(count: int, d: int):
+    """Index slices covering ``range(count)``, ``CHUNK_ENTRIES`` entries of d x d matrices each."""
+    step = max(1, CHUNK_ENTRIES // (d * d))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def old_check_blocks(blocks: Sequence[np.ndarray], zero: np.ndarray, full: np.ndarray, tol: float, fail_fast: bool,
+                  note: str) -> LatticeReport:
+    """`check_boolean` on block-diagonal members, given as one ``(n, r, r)`` stack per block.
+
+    Member i is 0 on block b where ``zero[b, i]``, I where ``full[b, i]``, else
+    proper.  Where P is 0 or I the order needs no product (0 is below all, all
+    below I, I below nothing proper, nothing proper below 0) and no law can fail:
+    P ≤ Q ≤ P forces Q = P, Q = P ∨ (Q ∧ P′) and both compatibility identities
+    hold when either side is 0 or I, and P ≤ Q ≤ R, P ≰ R needs all three proper
+    where it fails.  So a law runs on the blocks where its operands are proper,
+    and its residual is the largest there, the norm of a block-diagonal matrix.
+    A compatibility pair with no such block counts in ``pairs_by_support``.
+    """
+    n = blocks[0].shape[0]
+    proper = ~(zero | full)
+    pairs = n * (n + 1) // 2
+    violations: list[LawViolation] = []
+
+    def done() -> bool:
+        return fail_fast and bool(violations)
+
+    def worst(i: np.ndarray, j: np.ndarray, law) -> np.ndarray:
+        """Largest ‖law(mats, i, j)‖₂ above ``tol`` over the blocks where both members are proper, else 0."""
+        out = np.zeros(len(i))
+        for mats, ok in zip(blocks, proper):
+            k = np.flatnonzero(ok[i] & ok[j])
+            for s in _chunks(k.size, mats.shape[-1]):
+                x = law(mats, i[k[s]], j[k[s]])
+                over = _exceeds(x, tol)
+                out[k[s][over]] = np.maximum(out[k[s][over]], _norms(x[over]))
+        return out
+
+    # order: P_i below P_j when P_i P_j = P_i on every block
+    below = np.ones((n, n), dtype=bool)
+    for mats, ok, z, f in zip(blocks, proper, zero, full):
+        on = z[:, None] | f[None, :]
+        oi, oj = np.nonzero(ok[:, None] & ok[None, :])
+        for s in _chunks(oi.size, mats.shape[-1]):
+            on[oi[s], oj[s]] = ~_exceeds(mats[oi[s]] @ mats[oj[s]] - mats[oi[s]], tol)
+        below &= on
+
+    # pair laws over the ordered pairs i != j with P_i below P_j, in row-major order
+    bi, bj = np.nonzero(below & ~np.eye(n, dtype=bool))
+    mutual = below[bj, bi]
+    anti_res = worst(bi, bj, lambda m, i, j: m[i] - m[j])
+    # orthomodularity: Q recovers as P or (Q and not P)
+    ortho_res = worst(bi, bj, lambda m, i, j: m[j] - _join_m(m[i], _meet_m(m[j], np.eye(m.shape[-1]) - m[i])))
+    for t in range(bi.size):
+        if done():
+            break
+        i, j = int(bi[t]), int(bj[t])
+        if mutual[t] and not anti_res[t] <= tol:
+            violations.append(LawViolation("antisymmetry", (i, j), float(anti_res[t])))
+        elif not ortho_res[t] <= tol:
+            violations.append(LawViolation("orthomodularity", (i, j), float(ortho_res[t])))
+
+    # i = j or j = k can never break; i = k only when a member is not below itself
+    broken = below[:, :, None] & below[None, :, :] & ~below[:, None, :] & ~np.eye(n, dtype=bool)[:, None, :]
+    tri = np.argwhere(broken)[: 0 if done() else 1 if fail_fast else None]
+    tri_res = worst(tri[:, 0], tri[:, 2], lambda m, i, k: m[i] @ m[k] - m[i])
+    violations += [LawViolation("transitivity", (i, j, k), float(r)) for (i, j, k), r in zip(tri.tolist(), tri_res)]
+
+    # compatibility of every pair i < j, in row-major order
+    ci, cj = np.triu_indices(n, 1)
+    met = (proper[:, ci] & proper[:, cj]).any(axis=0)
+
+    def report(decided: int) -> LatticeReport:
+        return LatticeReport(n, pairs, decided, tuple(violations), note, decided - int(met[:decided].sum()))
+
+    decided = 0 if done() else ci.size
+    for s in _chunks(decided, max(m.shape[-1] for m in blocks)):
+        res = worst(ci[s], cj[s], lambda m, i, j: m[i] - _meet_m(m[i], m[j]) - _meet_m(m[i], np.eye(m.shape[-1]) - m[j]))
+        for t in np.flatnonzero(~(res <= tol)).tolist():
+            violations.append(LawViolation("compatibility", (int(ci[s.start + t]), int(cj[s.start + t])), float(res[t])))
+            if done():
+                return report(s.start + t + 1)
+    return report(decided)
+
+
+def old_engine_report(stacks, tol, fail_fast):
+    """The meet-based engine on members given as one stack per block, a member taken as 0 or I on a block within
+    DEFAULT_TOL of it."""
+    zero = np.array([~_exceeds(m, DEFAULT_TOL) for m in stacks])
+    full = np.array([~_exceeds(np.eye(m.shape[-1]) - m, DEFAULT_TOL) for m in stacks])
+    return old_check_blocks(stacks, zero, full, tol, fail_fast, "")
+
+
+def old_check_boolean(props, tol=DEFAULT_TOL, fail_fast=False):
+    """`check_boolean` on the meet-based engine: the family as one block."""
+    return old_engine_report([np.stack([p.matrix for p in props])], tol, fail_fast)
 
 
 # -- certification ------------------------------------------------------------
@@ -168,9 +316,11 @@ def test_stacked_meet_equals_pairwise_meet():
             pairs.append([(basis * d) @ basis.conj().T for d in diag])
         else:
             pairs.append([random_projection(rng, dim, int(rng.integers(1, dim))) for _ in range(2)])
-    stacked = _meet_m(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-    for (p, q), m in zip(pairs, stacked):
-        assert_allclose(m, meet(certified(p), certified(q)).matrix, atol=1e-12)
+    # the engine's closed form, and its test-local copy that the old engine's reference uses
+    for meet_m in (lattice._meet_m, _meet_m):
+        stacked = meet_m(np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
+        for (p, q), m in zip(pairs, stacked):
+            assert_allclose(m, meet(certified(p), certified(q)).matrix, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
@@ -182,8 +332,9 @@ def test_meet_matches_range_intersection_oracle(dim, salt):
     limit = meet(p, q).matrix
     oracle = range_intersection_projection(p, q)
     assert operator_norm(limit - oracle) < 1e-8
-    # the lattice engine's closed form, on the pair as a stack of one
-    assert operator_norm(_meet_m(p.matrix[None], q.matrix[None])[0] - oracle) < 1e-8
+    # the lattice engine's closed form and its test-local copy, on the pair as a stack of one
+    for meet_m in (lattice._meet_m, _meet_m):
+        assert operator_norm(meet_m(p.matrix[None], q.matrix[None])[0] - oracle) < 1e-8
 
 
 @settings(deadline=None, max_examples=20)
@@ -451,8 +602,8 @@ def reference_canonical_family(g, samples, seed, rep):
         return w, v, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def project(w, v, c, prefix=""):
-        block = v[:, c]
-        certify(block @ block.conj().T, f"{prefix}eig[{float(np.mean(w[c])):.4g}]")
+        block, mean = v[:, c], float(np.mean(w[c]))
+        certify(block @ block.conj().T, f"{prefix}eig[{mean if abs(mean) >= 1e-8 else 0.0:.4g}]")
 
     for x in range(g.n_objects):
         certify(_represented({g.unit(x): 1.0}, g, rep), f"unit[{g.label(x)}]")
@@ -586,13 +737,6 @@ def test_orbit_blocks_partition_the_basis_into_equal_blocks(g, rep, seed):
     assert hat.tobytes() == m.tobytes()
 
 
-def assert_same_label(got: str, want: str):
-    """Equal labels, but for an eigenvalue mean within 1e-12: a cluster at 0 prints its rounding noise."""
-    if got != want:
-        (head, value), (want_head, want_value) = (label[:-1].split("eig[") for label in (got, want))
-        assert head == want_head and abs(float(value) - float(want_value)) <= 1e-12, (got, want)
-
-
 @settings(deadline=None, max_examples=12)
 @given(
     st.lists(random_groupoids(max_transitions=12), min_size=1, max_size=3),
@@ -606,9 +750,7 @@ def test_block_engine_equals_the_one_block_engine(parts, rep, samples, seed):
     dense = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
     blocks = orbit_blocks(g, rep)
     family = lattice._family(g, blocks, samples, seed, rep)
-    assert len(family) == len(dense)
-    for got, want in zip(family.labels, dense):
-        assert_same_label(got, want.label)
+    assert family.labels == tuple(p.label for p in dense)
     for stack, rows in zip(family.stacks, blocks):
         assert_allclose(stack, [p.matrix[np.ix_(rows[0], rows[0])] for p in dense], rtol=0, atol=1e-12)
     # lifted, each member is the dense one, off the blocks too
@@ -628,7 +770,10 @@ def test_block_engine_equals_the_one_block_engine(parts, rep, samples, seed):
             assert_allclose([x.residual for x in v.report.violations], [x.residual for x in want.violations],
                             rtol=0, atol=1e-12)
             assert 0 <= v.report.pairs_by_support <= v.report.triples_tested
-            assert want.pairs_by_support == 0
+            # the dense family decides a pair by support alone where a member is 0 or I
+            trivial = np.array([p.rank in (0, p.dim) for p in dense])
+            ci, cj = np.triu_indices(len(dense), 1)
+            assert want.pairs_by_support == int((trivial[ci] | trivial[cj])[:want.triples_tested].sum())
     assert v.abelian_algebra == reference_abelian_algebra(g, rep)
 
 
@@ -670,7 +815,7 @@ def block_family(seed: int, dims, n: int):
 
 
 def assert_block_engine_matches(kinds, blocks, props, tol, fail_fast):
-    got = _check_blocks(blocks, kinds == 0, kinds == 1, tol, fail_fast, "")
+    got = _check_blocks(blocks, lattice._ranges(blocks), tol, fail_fast, "")
     want = check_boolean(props, tol=tol, fail_fast=fail_fast)
     assert (got.pairs_tested, got.triples_tested) == (want.pairs_tested, want.triples_tested)
     assert [(v.law, v.operands) for v in got.violations] == [(v.law, v.operands) for v in want.violations]
@@ -713,6 +858,79 @@ def test_block_engine_decides_pairs_on_different_orbits_without_a_meet():
     assert v.report.pairs_by_support == n * (n - 1) // 2 - 4 * 3
 
 
+# -- the principal-angle engine against the meet-based one -------------------------------
+
+
+def assert_same_report(got: LatticeReport, want: LatticeReport):
+    assert (got.n_propositions, got.pairs_tested, got.triples_tested, got.pairs_by_support) == (
+        want.n_propositions, want.pairs_tested, want.triples_tested, want.pairs_by_support)
+    assert [(v.law, v.operands) for v in got.violations] == [(v.law, v.operands) for v in want.violations]
+    assert_allclose([v.residual for v in got.violations], [v.residual for v in want.violations], rtol=0, atol=1e-9)
+    for v in got.violations:
+        # a witness angle is neither 0 nor π/2, its cos² unpinned as the meets pin it
+        assert (v.angle is not None) == (v.law == "compatibility")
+        if v.angle is not None:
+            mu = np.cos(v.angle) ** 2
+            assert 0 < v.angle < np.pi / 2 and mu * mu < 1 - MEET_PIN_TOL and (1 - mu) ** 2 < 1 - MEET_PIN_TOL
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    st.lists(random_groupoids(max_transitions=6), min_size=1, max_size=2),
+    st.booleans(),
+    st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_principal_angles_decide_as_the_meets_did(parts, product, rep, samples, seed):
+    # unions and products (up to 24 transitions) of random groupoids; the verdict on its blocks and check_boolean
+    # on the dense family
+    small = product and parts[0].n_transitions * parts[-1].n_transitions <= 24
+    g = parts[0] if len(parts) == 1 else direct_product(*parts) if small else disjoint_union(parts)
+    family = lattice._family(g, orbit_blocks(g, rep), samples, seed, rep)
+    dense = canonical_propositions(g, samples=samples, seed=seed, rep=rep)
+    for tol in (DEFAULT_TOL, 0.4, 1.2):
+        for fail_fast in (False, True):
+            v = classicality_verdict(g, samples=samples, seed=seed, rep=rep, tol=tol, fail_fast=fail_fast)
+            assert_same_report(v.report, old_engine_report(family.stacks, tol, fail_fast))
+            assert_same_report(check_boolean(dense, tol=tol, fail_fast=fail_fast),
+                               old_check_boolean(dense, tol=tol, fail_fast=fail_fast))
+
+
+def test_principal_angles_near_the_pins_and_the_order_tolerance():
+    # rank-one ranges in C^8 at angles from e1 across the meets' pins (cos² θ = 1 − 7.1e-13 is pinned to 1 on μ
+    # but not on μ²) and across the order tolerance 1e-9 (sin θ = 4e-10 and 2e-9, which 1 − σ² cannot tell apart),
+    # and rank-two ranges holding e1 or e2, so that a pair is pinned on one direction and not on the other;
+    # in 8 dimensions a joint range is smaller than the space
+    def ray(*x):
+        x = np.pad(np.asarray(x, dtype=complex), (0, 8 - len(x)))
+        return np.outer(x, x.conj()) / np.vdot(x, x).real
+
+    e1 = np.eye(8)[0]
+    mats = [ray(*e1)] + [ray(np.cos(t), np.sin(t), 0, 0) for t in (4e-10, 2e-9, 8.4e-7, np.pi / 2 - 8.4e-7, 0.3)]
+    mats += [ray(*e1) + ray(0, 0, 1, 1), ray(0, 1, 0, 0) + ray(0, 0, 1, -1j), ray(0, 0.8, 0.6, 0)]
+    props = [certified(m) for m in mats]
+    stack = np.stack(mats)
+    for tol in (DEFAULT_TOL, 0.4, 1.2):
+        for fail_fast in (False, True):
+            want = old_check_boolean(props, tol=tol, fail_fast=fail_fast)
+            assert_same_report(check_boolean(props, tol=tol, fail_fast=fail_fast), want)
+            # the same members with their residuals on the joint ranges, as the verdict computes them
+            assert_same_report(_check_blocks([stack], lattice._ranges([stack]), tol, fail_fast, "", joint=True), want)
+    assert {v.operands for v in old_check_boolean(props).violations} >= {(0, 3), (0, 4)}
+
+
+def test_pinned_pairs_take_no_meet():
+    # commuting projections that overlap or are orthogonal and are never nested: every principal angle is 0 or
+    # π/2, so no pair is a candidate and neither the order nor compatibility takes a meet
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    props = [certified((basis * d) @ basis.conj().T) for d in ([1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1])]
+    with mock.patch.object(lattice, "_meet_m", side_effect=AssertionError("a meet was taken")):
+        report = check_boolean(props)
+    assert report.is_boolean and report.triples_tested == 6
+
+
 def test_check_boolean_memory_stays_chunked():
     # a first verdict pays one-off allocations that later calls do not repeat
     classicality_verdict(pair_groupoid(2))
@@ -725,6 +943,21 @@ def test_check_boolean_memory_stays_chunked():
         tracemalloc.stop()
     # per-pair loops peak at 4.4 MiB; whole (n, n, d, d) stacks at over 20 MiB
     assert peak <= 6.6 * 2**20
+
+
+def test_check_boolean_pads_no_range_for_a_member_that_is_i():
+    # the unit of S4 is I in the left-regular representation; were the ranges padded to its rank 24, the Gram of the
+    # 36 members would take 36² · 24² complex entries, 12 MiB, at once
+    props = canonical_propositions(symmetric_group(4))
+    check_boolean(props)
+    tracemalloc.start()
+    try:
+        report = check_boolean(props)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.is_boolean and props[0].rank == props[0].dim == 24
+    assert peak <= 4 * 2**20
 
 
 def test_orthomodularity_holds_even_off_boolean():
