@@ -33,6 +33,8 @@ import tempfile  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from ladder import load_package  # noqa: E402
+
 
 def parse_seeds(raw: str) -> list[int]:
     """``1-16``, ``3`` or ``1,4,7-9``."""
@@ -41,21 +43,6 @@ def parse_seeds(raw: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
-
-
-def import_cli(root: Path):
-    """A fresh import of ``groupoidqm.cli`` from ``root/src``."""
-    src = (root / "src").resolve()
-    for name in [n for n in sys.modules if n == "groupoidqm" or n.startswith("groupoidqm.")]:
-        del sys.modules[name]
-    sys.path.insert(0, str(src))
-    try:
-        cli = importlib.import_module("groupoidqm.cli")
-    finally:
-        sys.path.remove(str(src))
-    if not Path(cli.__file__).resolve().is_relative_to(src):
-        raise RuntimeError(f"imported groupoidqm from {cli.__file__}, not from {src}")
-    return cli
 
 
 def run_calls(cli, calls) -> list[tuple[int, str, str]]:
@@ -116,7 +103,10 @@ def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], roun
         pool = make_pool(workload, seed, rounds, workdir / f"{workload}-{seed}")
         numbered = [(r, call) for r, round_calls in enumerate(pool) for call in round_calls]
         calls = [call for _, call in numbered]
-        outputs = {side: run_calls(import_cli(root), calls) for side, root in (("old", old_root), ("new", new_root))}
+        outputs = {}
+        for side, root in (("old", old_root), ("new", new_root)):
+            load_package(root)  # a fresh groupoidqm from root/src, whose cli is imported next
+            outputs[side] = run_calls(importlib.import_module("groupoidqm.cli"), calls)
         for k, (r, call) in enumerate(numbered):
             (old_code, old_out, _), (new_code, new_out, _) = outputs["old"][k], outputs["new"][k]
             tags = {}

@@ -181,6 +181,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
     g = load_groupoid(args.path, check=True)
     state = load_state(args.state, g)
     sets = load_history_sets(args.sets)
+    for k, (name, ids) in enumerate(sets):
+        if bad := sorted(t for t in ids if not 0 <= t < g.n_transitions):
+            raise FormatError(args.sets, [f"set {k} ({name}): transition id {bad[0]} does not belong to this groupoid"])
     rows = [
         {"quantity": quantity, "operands": [sets[k][0] for k in operands], "re": v.real, "im": v.imag}
         for quantity, operands, v in measure_rows(state, [ids for _, ids in sets])
@@ -193,7 +196,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     g = load_groupoid(args.path, check=True)
     state = load_state(args.state, g)
     if state.rep is None or state.density is None:
-        print("error: evolution needs a density-backed state file ({density, rep})", file=sys.stderr)
+        print("error: evolution needs a density-backed state file ({density, rep}) or a vector one ({vector, rep})",
+              file=sys.stderr)
         return 1
     payload = read_json(args.hamiltonian)
     if isinstance(payload, dict) and "matrix" in payload:
@@ -203,7 +207,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             return 1
         h = hamiltonian_from_matrix(parse_complex_matrix(payload["matrix"], args.hamiltonian, "matrix"), g, rep)
     else:
-        h = hamiltonian_from_element(_element_from_json(payload, args.hamiltonian), g, state.rep)
+        h = hamiltonian_from_element(_element_from_json(payload, args.hamiltonian, g), g, state.rep)
     times = parse_grid(*args.grid)
     trace = evolve(h, state, times, bipartition=args.bipartition)
     rows: list[dict[str, Any]] = [{"t": float(t), "residual": float(r)} for t, r in zip(trace.times, trace.norm_residuals)]

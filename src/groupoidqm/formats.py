@@ -355,7 +355,7 @@ def _terms_payload(a: AlgebraElement) -> list[dict]:
     ]
 
 
-def _parse_terms(raw: Any, origin: str) -> dict[int, complex]:
+def _parse_terms(raw: Any, origin: str, g: Groupoid | None = None) -> dict[int, complex]:
     if not isinstance(raw, list):
         raise FormatError(origin, ["terms must be a list of {transition_id, re, im}"])
     out: dict[int, complex] = {}
@@ -376,6 +376,8 @@ def _parse_terms(raw: Any, origin: str) -> dict[int, complex]:
         if t in out:
             raise FormatError(origin, [f"term {k}: duplicate transition_id {t}"])
         out[t] = value
+    if g is not None and (bad := [(k, t) for k, t in enumerate(out) if not 0 <= t < g.n_transitions]):
+        raise FormatError(origin, [f"term {bad[0][0]}: transition id {bad[0][1]} does not belong to this groupoid"])
     return out
 
 
@@ -394,8 +396,7 @@ def load_state(path: str, g: Groupoid) -> StateFn:
             raise FormatError(path, [f"{what} has shape {m.shape}, but the {rep} representation needs {need}"])
         return pure_state(m, g, rep) if m.ndim == 1 else state_from_density(m, g, rep)
     if "phi" in obj:
-        terms = _parse_terms(obj["phi"], path)
-        return state_from_phi(terms, g)
+        return state_from_phi(_parse_terms(obj["phi"], path, g), g)
     raise FormatError(path, ["state file needs a 'vector', 'density' or 'phi' field"])
 
 
@@ -411,11 +412,11 @@ def load_element(path: str) -> AlgebraElement:
     return _element_from_json(read_json(path), path)
 
 
-def _element_from_json(obj: Any, path: str) -> AlgebraElement:
-    """The element in an element file's parsed JSON; errors name ``path``."""
+def _element_from_json(obj: Any, path: str, g: Groupoid | None = None) -> AlgebraElement:
+    """The element in an element file's parsed JSON, its ids checked against ``g`` if given; errors name ``path``."""
     if isinstance(obj, dict) and "terms" in obj:
         obj = obj["terms"]
-    return AlgebraElement(_parse_terms(obj, path))
+    return AlgebraElement(_parse_terms(obj, path, g))
 
 
 def dump_element(a: AlgebraElement) -> dict:

@@ -237,12 +237,22 @@ def test_measure_empty_sets(capsys, tmp_path):
     assert out == "quantity\toperands\tre\tim\n"
 
 
-def test_measure_unknown_transition(capsys, tmp_path):
-    path = tmp_path / "bad.sets"
-    path.write_text('{"sets": [{"name": "ghost", "transitions": [99]}]}\n')
-    code, _, err = run(capsys, "measure", QCAT, "--state", SUPERPOSITION, "--sets", str(path))
+@pytest.mark.parametrize("kind, text, where", [
+    ("sets", '{"sets": [{"name": "a", "transitions": [0]}, {"name": "ghost", "transitions": [99]}]}', "set 1 (ghost)"),
+    ("state", '{"phi": [{"transition_id": 0, "re": 1.0}, {"transition_id": 99, "re": 0.0}]}', "term 1"),
+    ("hamiltonian", '{"terms": [{"transition_id": 0, "re": 1.0}, {"transition_id": 99, "re": 1.0}]}', "term 1"),
+], ids=("sets", "state", "hamiltonian"))
+def test_measure_unknown_transition(capsys, tmp_path, kind, text, where):
+    """An out-of-range transition id in a sets, state or Hamiltonian file names the file and the set or term."""
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text + "\n")
+    files = {"sets": SETS, "state": SUPERPOSITION, kind: str(path)}
+    if kind == "hamiltonian":
+        code, _, err = run(capsys, "evolve", QCAT, "--state", DIAGONAL, "--hamiltonian", files["hamiltonian"])
+    else:
+        code, _, err = run(capsys, "measure", QCAT, "--state", files["state"], "--sets", files["sets"])
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith(f"{path}:") and f"{where}: transition id 99 does not belong to this groupoid" in err
 
 
 def test_measure_null_transition_id_names_file_and_term(capsys, tmp_path):
