@@ -11,7 +11,7 @@ sides' peak RSS (``VmHWM``) of a fresh process that builds the row's input
 and makes its call once, and says whether the sides agree.  The rows are
 ``GROUP_ROWS`` (group generators, ``group_groupoid``, ``validate`` and
 character tables), ``MEASURE_ROWS`` (``measure``'s rows, state
-construction and ``parse_groupoid_text``) and ``VERDICT_ROWS``
+construction, ``hamiltonian_from_matrix`` and ``parse_groupoid_text``) and ``VERDICT_ROWS``
 (``classicality_verdict``).  The result is printed as one JSON object.
 """
 
@@ -191,9 +191,44 @@ def phi_agree(a, b) -> dict:
     return {"phi_identical": list(a.phi.values()) == list(b.phi.values())}
 
 
+def hermitian_image(gq, g, rep: str) -> np.ndarray:
+    """The image in ``rep`` of a + a* for a random element a of g's algebra, seeded by g's size."""
+    rng = np.random.default_rng(g.n_transitions)
+    a = gq.AlgebraElement(dict(enumerate(rng.standard_normal(g.n_transitions) + 1j * rng.standard_normal(g.n_transitions))))
+    return gq.representation_matrix(a + gq.involution(a, g), g, rep).matrix
+
+
+def fit_call(gq, g, rep: str):
+    """``hamiltonian_from_matrix`` on ``hermitian_image``: (accepted, the coefficient of every transition or None)."""
+    m = hermitian_image(gq, g, rep)
+
+    def call():
+        try:
+            h = gq.hamiltonian_from_matrix(m, g, rep)
+        except ValueError:
+            return False, None
+        return True, np.array([h.element.get(t) for t in range(g.n_transitions)])
+
+    return call
+
+
+def fits_agree(a, b) -> dict:
+    row = {"accepted": b[0]}
+    if a is not None:
+        worst = float(np.abs(a[1] - b[1]).max()) if a[0] and b[0] else None
+        row.update(same_fit=a[0] == b[0] and (worst is None or worst <= 1e-12), worst_difference=worst)
+    return row
+
+
 def tables_agree(a, b) -> dict:
     return {"tables_equal": bool(np.array_equal(a.table, b.table))}
 
+
+# name, d, transitions, groupoid, representation, and whether OLD runs: a (d², n) basis stack takes 16·d²·n bytes
+FIT_SHAPES = [
+    *((f"pair({n})", n * n, n * n, lambda gq, n=n: gq.pair_groupoid(n), "left-regular", n <= 16) for n in (8, 12, 16, 32)),
+    ("S3 x pair(4)", 4, 96, lambda gq: gq.direct_product(gq.symmetric_group(3), gq.pair_groupoid(4)), "fundamental", False),
+]
 
 MEASURE_ROWS = [
     *(Row(f"{name} k={k}", {"sets": k, "set_size": min(size, d // k)},
@@ -206,6 +241,9 @@ MEASURE_ROWS = [
     *(Row(f"pure_state pair({n})", {"d": n * n},
           lambda gq, n=n: lambda g=gq.pair_groupoid(n), v=unit_vector(n): gq.pure_state(v, g), phi_agree, few=True)
       for n in (8, 12, 16, 24, 32)),
+    *(Row(f"hamiltonian_from_matrix {name} {rep}", {"d": d, "transitions": n},
+          lambda gq, shape=shape, rep=rep: fit_call(gq, shape(gq), rep), fits_agree, old, few=True)
+      for name, d, n, shape, rep, old in FIT_SHAPES),
     # pair(n)'s text has a line of objects, n² transitions, n(n + 1)/2 inverse pairs and n³ composites
     *(Row(f"parse_groupoid_text pair({n})", {"lines": 1 + n * n + n * (n + 1) // 2 + n ** 3},
           lambda gq, n=n: lambda t=gq.dump_groupoid_text(gq.pair_groupoid(n)): gq.parse_groupoid_text(t),

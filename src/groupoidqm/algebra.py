@@ -194,13 +194,22 @@ def _represent(g: Groupoid, rep: str, ids: np.ndarray, coeffs: np.ndarray, basis
     pos[basis] = np.arange(len(basis))
     out = np.zeros((ids.shape[0], len(basis), len(basis)), dtype=complex)
     if rep == LEFT_REGULAR:
-        rows = g.table[t][:, basis]
+        rows = g.table[t[:, None], basis]
         k, col = np.nonzero(rows >= 0)
         np.add.at(out, (member[k], pos[rows[k, col]], col), c[k])
     else:
         k = np.flatnonzero(pos[g.source[t]] >= 0)
         np.add.at(out, (member[k], pos[g.target[t[k]]], pos[g.source[t[k]]]), c[k])
     return out
+
+
+def _traces(g: Groupoid, rep: str, m: np.ndarray) -> np.ndarray:
+    """tr(m·R(t)) for every t, the adjoint of `_represent`: Σ_j m[j, t∘j] (left-regular) or m[s(t), t(t)] (fundamental)."""
+    if rep == LEFT_REGULAR:
+        terms = m[np.arange(len(m)), g.table]
+        terms[g.table < 0] = 0  # in place, so no second d² array
+        return terms.sum(axis=1)
+    return m[g.source, g.target]
 
 
 def left_regular(a: AlgebraElement, g: Groupoid) -> Operator:

@@ -30,7 +30,8 @@ from .algebra import (
     AlgebraElement,
     Operator,
     _exceeds,
-    algebra_basis,
+    _represent,
+    _traces,
     involution,
     operator_norm,
     representation_matrix,
@@ -134,9 +135,9 @@ def hamiltonian_from_matrix(
 ) -> Hamiltonian:
     """Accept a matrix only if it is self-adjoint and lies in the algebra.
 
-    The membership test solves least squares against the represented
-    basis; a residual beyond ``span_tol`` (relative to the matrix norm)
-    means the matrix is not a represented algebra element.
+    The coefficients c are the minimum-norm least-squares fit of the represented basis in closed form: two
+    0/1 images R(t) are equal or disjoint, so c_t = ⟨R(t), m⟩_F / ⟨R(t), R(Σ_s s)⟩_F (`_traces` of mᵀ and
+    R(Σ_s s)ᵀ).  A residual ‖R(c) − m‖_F beyond ``span_tol`` (relative to the matrix norm) rejects m.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -144,10 +145,13 @@ def hamiltonian_from_matrix(
     scale = max(1.0, float(np.linalg.norm(m)))
     if _exceeds(m - m.conj().T, 1e-10 * scale):
         raise ValueError("Hamiltonian matrix is not self-adjoint")
-    images = [op.matrix.ravel() for op in algebra_basis(g, rep)]
-    stack = np.stack(images, axis=1)
-    coeffs, _, _, _ = np.linalg.lstsq(stack, m.ravel(), rcond=None)
-    residual = float(np.linalg.norm(stack @ coeffs - m.ravel()))
+    ids = np.arange(g.n_transitions)[None]
+    span = _represent(g, rep, ids, np.ones(ids.shape))[0]  # R(Σ_s s)
+    if m.shape != span.shape:
+        raise ValueError(f"Hamiltonian matrix shape {m.shape} does not match representation dimension {len(span)}")
+    overlap = _traces(g, rep, span.T).real
+    coeffs = np.divide(_traces(g, rep, m.T), overlap, out=np.zeros(g.n_transitions, dtype=complex), where=overlap > 0)
+    residual = float(np.linalg.norm(_represent(g, rep, ids, coeffs[None])[0] - m))
     if not (residual <= span_tol * scale):
         raise ValueError(
             f"matrix is not in the represented transition algebra (residual {residual:.3e})"

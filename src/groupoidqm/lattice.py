@@ -35,7 +35,7 @@ from .algebra import (
     _represent,
     operator_norm,
 )
-from .groupoid import Groupoid, has_abelian_isotropy, is_totally_disconnected, orbit_blocks
+from .groupoid import Groupoid, _orbit_table, has_abelian_isotropy, is_totally_disconnected, orbit_blocks
 
 __all__ = [
     "Proposition",
@@ -625,8 +625,8 @@ def _check_blocks(blocks: Sequence[np.ndarray], ranges: Sequence[tuple[np.ndarra
                    for i, j, r, a in zip(ui[bad].tolist(), uj[bad].tolist(), res[bad].tolist(), angle.tolist())]
     i, j = (int(ui[bad[0]]), int(uj[bad[0]])) if fail_fast and bad.size else (n - 2, n - 1)
     decided = 0 if skip else i * n - i * (i + 1) // 2 + j - i
-    ci, cj = np.nonzero(~np.tri(n, dtype=bool))
-    met = np.any([ok[ci[:decided]] & ok[cj[:decided]] for ok in proper], axis=0)
+    ok = np.array(proper, dtype=float)  # (okᵀ ok)[i, j] > 0: a block where P_i and P_j are both proper
+    met = (ok.T @ ok > 0)[~np.tri(n, dtype=bool)][:decided]  # the pairs i < j in row-major order
     return LatticeReport(n, n * (n + 1) // 2, decided, tuple(violations), note, decided - int(met.sum()))
 
 
@@ -708,12 +708,12 @@ def classicality_verdict(
     ab_iso = has_abelian_isotropy(g)
 
     # route three: commutators of the basis images on each representative block, up to the first
-    # failing chunk; the images are exact 0/1 matrices, equal on the blocks of one orbit, and a
-    # transition that is 0 on a block commutes with everything there
-    ids, abelian_alg = np.arange(g.n_transitions)[:, None], True
-    for rows in blocks:
+    # failing chunk; the images are exact 0/1 matrices, equal on the blocks of one orbit, and only
+    # the transitions leaving the orbit act there: the rest are 0 and commute with everything
+    orbit_of, abelian_alg = _orbit_table(g)[0][g.source], True
+    for k, rows in enumerate(blocks):
+        ids = np.flatnonzero(orbit_of == k)[:, None]
         images = _represent(g, rep, ids, np.ones(ids.shape), rows[0])
-        images = images[images.any(axis=(-2, -1))]
         ci, cj = np.triu_indices(len(images), 1)
         abelian_alg = abelian_alg and not any(
             _exceeds(images[ci[s]] @ images[cj[s]] - images[cj[s]] @ images[ci[s]], 1e-10).any()

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import LEFT_REGULAR, AlgebraElement, _exceeds, _rep_dim
-from .groupoid import Groupoid
+from .algebra import LEFT_REGULAR, AlgebraElement, _exceeds, _rep_dim, _traces
+from .groupoid import Groupoid, _chains
 
 __all__ = [
     "StateFn",
@@ -112,9 +112,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
         raise ValueError(f"amplitudes break conjugation symmetry at transition {asymmetric[0]}")
     # positivity: the Gram matrix phi(a^-1 ∘ b) over the transitions into each object is PSD;
     # objects with equally many incoming transitions share one stacked check
-    incoming = np.argsort(g.target, kind="stable")
-    sizes = np.bincount(g.target, minlength=g.n_objects)
-    starts = np.cumsum(sizes) - sizes
+    incoming, starts, sizes = _chains(g.target, g.n_objects)
     failures = []
     for size in sorted(set(sizes.tolist()) - {0}):
         objects = np.flatnonzero(sizes == size)
@@ -134,14 +132,7 @@ def _validate_phi(g: Groupoid, phi: np.ndarray, tol: float = STATE_TOL) -> None:
 
 
 def state_from_density(rho: np.ndarray, g: Groupoid, rep: str = LEFT_REGULAR, tol: float = STATE_TOL) -> StateFn:
-    """Pull the amplitude table out of a density matrix.
-
-    The amplitude of a transition is the trace of the density matrix
-    against the transition's representing matrix, gathered from the
-    tables: phi(t) = sum_j rho[j, t∘j] over the j that t can follow in
-    the left-regular representation, and phi(t) = rho[s(t), t(t)] in
-    the fundamental one.
-    """
+    """Pull the amplitude table out of a density matrix: φ(t) = tr(ρ·R(t)), gathered by `algebra._traces`."""
     rho = np.asarray(rho, dtype=complex)
     dim = _rep_dim(g, rep)
     if rho.shape != (dim, dim):
@@ -178,12 +169,7 @@ def _state(rho: np.ndarray, g: Groupoid, rep: str, tol: float, vector: np.ndarra
     tr = complex(np.trace(rho))
     if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix has trace {tr!r}, not 1")
-    if rep == LEFT_REGULAR:
-        terms = rho[np.arange(len(rho)), g.table]
-        terms[g.table < 0] = 0  # in place, so no second d² array
-        phi = terms.sum(axis=1)
-    else:
-        phi = rho[g.source, g.target]
+    phi = _traces(g, rep, rho)
     _validate_phi(g, phi, max(tol, 1e-9))
     return StateFn(g, dict(enumerate(phi.tolist())), rep, rho, vector)
 

@@ -1,5 +1,7 @@
 """Unitary dynamics, Schmidt diagnostics and the theorem-scale trials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from groupoidqm import (
     FUNDAMENTAL,
     LEFT_REGULAR,
     AlgebraElement,
+    Groupoid,
     Operator,
+    algebra_basis,
     block_structure,
     cyclic_group,
     direct_product,
@@ -100,6 +104,75 @@ def test_hamiltonian_from_matrix_rejects_non_hermitian():
         hamiltonian_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), g)
     with pytest.raises(ValueError, match="square"):
         hamiltonian_from_matrix(np.zeros((2, 3)), g)
+
+
+def lstsq_fit(m, g, rep, span_tol=1e-8):
+    """The reference membership test: ``lstsq`` against the (d², n) stack of basis images, with
+    ``hamiltonian_from_matrix``'s acceptance rule: (accepted, coefficients, residual)."""
+    scale = max(1.0, float(np.linalg.norm(m)))
+    images = [op.matrix.ravel() for op in algebra_basis(g, rep)]
+    stack = np.stack(images, axis=1)
+    coeffs, _, _, _ = np.linalg.lstsq(stack, m.ravel(), rcond=None)
+    residual = float(np.linalg.norm(stack @ coeffs - m.ravel()))
+    return residual <= span_tol * scale, coeffs, residual
+
+
+def hermitian_element(g, rng) -> AlgebraElement:
+    a = AlgebraElement(dict(enumerate(rng.standard_normal(g.n_transitions) + 1j * rng.standard_normal(g.n_transitions))))
+    return a + involution(a, g)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(random_groupoids(max_transitions=18), min_size=1, max_size=2),
+    st.booleans(),
+    st.sampled_from([LEFT_REGULAR, FUNDAMENTAL]),
+    st.sampled_from([0.0, 1e-3]),
+    st.integers(0, 2**16),
+)
+def test_hamiltonian_from_matrix_is_the_least_squares_fit(parts, product, rep, noise, seed):
+    # members (noise 0) and members plus a random Hermitian matrix, on unions and products of up to 36 transitions
+    small = product and parts[0].n_transitions * parts[-1].n_transitions <= 36
+    g = parts[0] if len(parts) == 1 else direct_product(*parts) if small else disjoint_union(parts)
+    rng = np.random.default_rng(seed)
+    m = representation_matrix(hermitian_element(g, rng), g, rep).matrix
+    x = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    m = m + noise * (x + x.conj().T)
+    accepted, coeffs, residual = lstsq_fit(m, g, rep)
+    try:
+        hamiltonian_from_matrix(m, g, rep)
+    except ValueError as e:
+        assert not accepted and "not in the represented" in str(e)
+    else:
+        assert accepted
+    fit = hamiltonian_from_matrix(m, g, rep, span_tol=np.inf).element
+    assert np.abs(np.array([fit.get(t) for t in range(g.n_transitions)]) - coeffs).max() <= 1e-12
+    assert abs(float(np.linalg.norm(representation_matrix(fit, g, rep).matrix - m)) - residual) <= 1e-12
+
+
+def test_hamiltonian_from_matrix_builds_no_basis_stack():
+    # pair(12)'s left-regular basis images stacked as a (d², n) matrix take 45.6 MiB alone
+    g = pair_groupoid(12)
+    elem = hermitian_element(g, np.random.default_rng(0))
+    m = representation_matrix(elem, g, LEFT_REGULAR).matrix
+    tracemalloc.start()
+    try:
+        h = hamiltonian_from_matrix(m, g, LEFT_REGULAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.element.isclose(elem, 1e-12)
+    assert peak <= 4 * 2**20
+
+
+def test_a_transition_with_a_zero_image_gets_no_coefficient():
+    g = Groupoid(["x"], [0], [0], [0], [0], {})  # fails validate: with no composite its left-regular image is 0
+    assert hamiltonian_from_matrix(np.zeros((1, 1)), g, LEFT_REGULAR).element.is_zero()
+
+
+def test_hamiltonian_from_matrix_checks_the_dimension():
+    with pytest.raises(ValueError, match="representation dimension 4"):
+        hamiltonian_from_matrix(np.eye(2), pair_groupoid(2), LEFT_REGULAR)
 
 
 # -- Heisenberg picture -----------------------------------------------------------

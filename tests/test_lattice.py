@@ -29,6 +29,7 @@ from groupoidqm import (
     meet,
     operator_norm,
     orbit_blocks,
+    orbit_decomposition,
     pair_groupoid,
     range_intersection_projection,
     spectral_projections,
@@ -48,7 +49,7 @@ from groupoidqm.lattice import (
     meet_unsymmetrized,
 )
 
-from conftest import dihedral_group, quaternion_group, random_groupoids, random_projection
+from conftest import dihedral_group, permute_transitions, quaternion_group, random_groupoids, random_projection
 
 
 def certified(m: np.ndarray):
@@ -872,6 +873,25 @@ def assert_same_report(got: LatticeReport, want: LatticeReport):
         if v.angle is not None:
             mu = np.cos(v.angle) ** 2
             assert 0 < v.angle < np.pi / 2 and mu * mu < 1 - MEET_PIN_TOL and (1 - mu) ** 2 < 1 - MEET_PIN_TOL
+
+
+@pytest.mark.parametrize("rep", [LEFT_REGULAR, FUNDAMENTAL])
+def test_route_three_represents_each_orbits_own_transitions(rep):
+    # three components with permuted ids: each block's images are those of the transitions leaving its orbit
+    g = permute_transitions(disjoint_union([pair_groupoid(2), symmetric_group(3), cyclic_group(2)]),
+                            np.random.default_rng(3).permutation(12))
+    represent, calls = lattice._represent, []
+
+    def spy(g, rep, ids, coeffs, basis=None):
+        calls.append(ids.copy())
+        return represent(g, rep, ids, coeffs, basis)
+
+    with mock.patch.object(lattice, "_represent", spy):
+        v = classicality_verdict(g, samples=0, rep=rep)
+    assert not v.abelian_algebra and v.consistent
+    orbits = [np.flatnonzero(np.isin(g.source, orbit)) for orbit in orbit_decomposition(g).orbits]
+    assert sorted(map(len, orbits)) == [2, 4, 6]
+    assert [ids.tolist() for ids in calls[-3:]] == [o[:, None].tolist() for o in orbits]
 
 
 @settings(deadline=None, max_examples=15)
