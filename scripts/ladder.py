@@ -224,10 +224,10 @@ def tables_agree(a, b) -> dict:
     return {"tables_equal": bool(np.array_equal(a.table, b.table))}
 
 
-# name, d, transitions, groupoid, representation, and whether OLD runs: a (d², n) basis stack takes 16·d²·n bytes
+# name, d, transitions, groupoid and representation
 FIT_SHAPES = [
-    *((f"pair({n})", n * n, n * n, lambda gq, n=n: gq.pair_groupoid(n), "left-regular", n <= 16) for n in (8, 12, 16, 32)),
-    ("S3 x pair(4)", 4, 96, lambda gq: gq.direct_product(gq.symmetric_group(3), gq.pair_groupoid(4)), "fundamental", False),
+    *((f"pair({n})", n * n, n * n, lambda gq, n=n: gq.pair_groupoid(n), "left-regular") for n in (8, 12, 16, 32)),
+    ("S3 x pair(4)", 4, 96, lambda gq: gq.direct_product(gq.symmetric_group(3), gq.pair_groupoid(4)), "fundamental"),
 ]
 
 MEASURE_ROWS = [
@@ -242,8 +242,8 @@ MEASURE_ROWS = [
           lambda gq, n=n: lambda g=gq.pair_groupoid(n), v=unit_vector(n): gq.pure_state(v, g), phi_agree, few=True)
       for n in (8, 12, 16, 24, 32)),
     *(Row(f"hamiltonian_from_matrix {name} {rep}", {"d": d, "transitions": n},
-          lambda gq, shape=shape, rep=rep: fit_call(gq, shape(gq), rep), fits_agree, old, few=True)
-      for name, d, n, shape, rep, old in FIT_SHAPES),
+          lambda gq, shape=shape, rep=rep: fit_call(gq, shape(gq), rep), fits_agree, few=True)
+      for name, d, n, shape, rep in FIT_SHAPES),
     # pair(n)'s text has a line of objects, n² transitions, n(n + 1)/2 inverse pairs and n³ composites
     *(Row(f"parse_groupoid_text pair({n})", {"lines": 1 + n * n + n * (n + 1) // 2 + n ** 3},
           lambda gq, n=n: lambda t=gq.dump_groupoid_text(gq.pair_groupoid(n)): gq.parse_groupoid_text(t),

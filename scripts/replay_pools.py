@@ -12,8 +12,10 @@ side has are dropped), and, for payloads with ``rows``, the layout
 of the rows (keys, order and every non-float value) and their largest
 float difference.  A line is printed for each call whose exit code, tags
 or row layout differ, then one summary per workload, and last the whole
-summary as one JSON object.  The exit status is 1 when an exit code or a
-failure tag differs on any call, else 0.
+summary as one JSON object.  A call fails when it carries at least one
+tag; each summary counts the failed calls per side (``failed``), the
+share that the benchmark's failure gate compares.  The exit status is 1
+when an exit code or a failure tag differs on any call, else 0.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], roun
     summary = {
         "calls": 0, "exit_codes_differ": 0, "tags_differ": 0, "stdout_identical": 0,
         "stdout_identical_apart_from_new_keys": 0, "rows_layout_differs": 0, "worst_rows_difference": 0.0, "tags": {"old": {}, "new": {}},
+        "failed": {"old": 0, "new": 0},
     }
     for seed in seeds:
         pool = make_pool(workload, seed, rounds, workdir / f"{workload}-{seed}")
@@ -112,6 +115,7 @@ def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], roun
             tags = {}
             for side, (code, out, err) in (("old", outputs["old"][k]), ("new", outputs["new"][k])):
                 tags[side] = [f.kind for f in check_call(call, code, out, err)]
+                summary["failed"][side] += bool(tags[side])
                 for tag in tags[side]:
                     summary["tags"][side][tag] = summary["tags"][side].get(tag, 0) + 1
             rows = compare_rows(old_out, new_out) if old_code == new_code == 0 else None
@@ -155,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"tags differ on {s['tags_differ']}, stdout identical on {s['stdout_identical']} "
                 f"({s['stdout_identical_apart_from_new_keys']} apart from keys only one side has), "
                 f"rows layout differs on {s['rows_layout_differs']}, worst rows difference {s['worst_rows_difference']:.3e}, "
-                f"tags old {s['tags']['old']} new {s['tags']['new']}"
+                f"tags old {s['tags']['old']} new {s['tags']['new']}, "
+                f"failed old {s['failed']['old']}/{s['calls']} new {s['failed']['new']}/{s['calls']}"
             )
     print(json.dumps(result, sort_keys=True))
     return 1 if any(s["exit_codes_differ"] or s["tags_differ"] for s in result.values()) else 0

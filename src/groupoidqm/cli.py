@@ -221,7 +221,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _theorem_text(report: TheoremReport) -> str:
-    trials = _table("trial\tsupport\tratio\toffblock\tentropy\tonset\tok", (t.to_dict().values() for t in report.trials))
+    trials = _table("trial\tratio\toffblock\tentropy\tonset\tok", (t.to_dict().values() for t in report.trials))
     summary = ("mode", "passed", "vacuous", "worst_ratio", "worst_offblock", "fraction_entangled", "max_entropy",
                "vacuous_reason")
     return trials + "\nSUMMARY\t" + "\t".join(f"{k}={_cell(getattr(report, k))}" for k in summary)

@@ -30,6 +30,7 @@ from .algebra import (
     AlgebraElement,
     Operator,
     _exceeds,
+    _rep_dim,
     _represent,
     _traces,
     involution,
@@ -136,8 +137,9 @@ def hamiltonian_from_matrix(
     """Accept a matrix only if it is self-adjoint and lies in the algebra.
 
     The coefficients c are the minimum-norm least-squares fit of the represented basis in closed form: two
-    0/1 images R(t) are equal or disjoint, so c_t = ⟨R(t), m⟩_F / ⟨R(t), R(Σ_s s)⟩_F (`_traces` of mᵀ and
-    R(Σ_s s)ᵀ).  A residual ‖R(c) − m‖_F beyond ``span_tol`` (relative to the matrix norm) rejects m.
+    0/1 images R(t) are equal or disjoint, so c_t = ⟨R(t), m⟩_F / ⟨R(t), R(Σ_s s)⟩_F: `_traces` of mᵀ over
+    the count of the transitions with t's endpoints (fundamental) or of the j that t can follow
+    (left-regular).  A residual ‖R(c) − m‖_F beyond ``span_tol`` (relative to the matrix norm) rejects m.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -145,13 +147,13 @@ def hamiltonian_from_matrix(
     scale = max(1.0, float(np.linalg.norm(m)))
     if _exceeds(m - m.conj().T, 1e-10 * scale):
         raise ValueError("Hamiltonian matrix is not self-adjoint")
-    ids = np.arange(g.n_transitions)[None]
-    span = _represent(g, rep, ids, np.ones(ids.shape))[0]  # R(Σ_s s)
-    if m.shape != span.shape:
-        raise ValueError(f"Hamiltonian matrix shape {m.shape} does not match representation dimension {len(span)}")
-    overlap = _traces(g, rep, span.T).real
+    d = _rep_dim(g, rep)
+    if m.shape != (d, d):
+        raise ValueError(f"Hamiltonian matrix shape {m.shape} does not match representation dimension {d}")
+    key = g.target * g.n_objects + g.source
+    overlap = np.bincount(key)[key] if rep == FUNDAMENTAL else np.bincount(g.target, minlength=g.n_objects)[g.source]
     coeffs = np.divide(_traces(g, rep, m.T), overlap, out=np.zeros(g.n_transitions, dtype=complex), where=overlap > 0)
-    residual = float(np.linalg.norm(_represent(g, rep, ids, coeffs[None])[0] - m))
+    residual = float(np.linalg.norm(_represent(g, rep, np.arange(g.n_transitions)[None], coeffs[None])[0] - m))
     if not (residual <= span_tol * scale):
         raise ValueError(
             f"matrix is not in the represented transition algebra (residual {residual:.3e})"
@@ -339,7 +341,6 @@ def evolve(
 @dataclass(frozen=True)
 class TrialRecord:
     index: int
-    support_size: int
     max_ratio: float | None = None
     max_offblock: float | None = None
     max_entropy: float | None = None
@@ -438,24 +439,23 @@ def _chunks(n_trials: int, jobs: int, trial_entries: int) -> list[np.ndarray]:
 
 def _draw_trials(
     seed: int, indices: np.ndarray, product: Groupoid, da: int, db: int, mixture: bool
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]:
-    """Supports and stacked Hamiltonians, pure starts and (with ``mixture``) mixed starts of trials ``indices``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Stacked Hamiltonians, pure starts and (with ``mixture``) mixed starts of trials ``indices``.
 
-    Trial i draws from ``default_rng([seed, i])``: the support size k, k
-    transitions, their real and imaginary coefficients c; a first-factor
+    Trial i draws from ``default_rng([seed, i])``: the real and imaginary
+    parts of a coefficient c_t on every product transition t; a first-factor
     outcome and a unit vector on its block; with ``mixture``, the block
-    weights and one unit vector per block.  Its Hamiltonian is the image of
-    ½(c + c*): t carries ½(c_t + conj c_{t⁻¹}), the drawn ids summed first.
+    weights and one unit vector per block.  Its Hamiltonian (R(c) + R(c)ᴴ)/2
+    is the image of ½(c + c*), as the fundamental representation is a
+    *-representation; a full support makes it generic.
     """
     n_tr, d = product.n_transitions, da * db
-    keys, coeffs, support = [], [], []
+    coeffs = np.zeros((len(indices), n_tr), dtype=complex)
     psi0 = np.zeros((len(indices), d), dtype=complex)
     rho0 = np.zeros((len(indices), d, d), dtype=complex) if mixture else None
     for row, i in enumerate(indices.tolist()):
         rng = np.random.default_rng([seed, i])
-        support.append(int(rng.integers(1, n_tr + 1)))
-        keys.append(row * n_tr + np.sort(rng.choice(n_tr, size=support[-1], replace=False)))
-        coeffs.append(rng.standard_normal(support[-1]) + 1j * rng.standard_normal(support[-1]))
+        coeffs[row] = rng.standard_normal(n_tr) + 1j * rng.standard_normal(n_tr)
         xa = int(rng.integers(da))
         psi0[row, xa * db:(xa + 1) * db] = _random_unit(rng, db)
         if mixture:
@@ -463,16 +463,8 @@ def _draw_trials(
             for x, wx in enumerate(weights / weights.sum()):
                 vec = _random_unit(rng, db)
                 rho0[row, x * db:(x + 1) * db, x * db:(x + 1) * db] = wx * np.outer(vec, vec.conj())
-    keys, c = np.concatenate(keys), np.concatenate(coeffs)
-    inv = keys - keys % n_tr + product.inverse_table[keys % n_tr]
-    pos = np.minimum(np.searchsorted(keys, inv), keys.size - 1)
-    drawn = keys[pos] == inv
-    sym = c.copy()
-    sym[pos[drawn]] += c[drawn].conj()
-    trial, ids = np.divmod(np.concatenate([keys, inv[~drawn]]), n_tr)
-    m = np.zeros((len(indices), d, d), dtype=complex)
-    np.add.at(m, (trial, product.target[ids], product.source[ids]), 0.5 * np.concatenate([sym, c[~drawn].conj()]))
-    return support, (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0, rho0
+    m = _represent(product, FUNDAMENTAL, np.broadcast_to(np.arange(n_tr), coeffs.shape), coeffs)
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0, rho0
 
 
 def _theorem(
@@ -494,7 +486,7 @@ def _theorem(
     offdiag_mask = block[:, None] != block[None, :]
     records = []
     for chunk in _chunks(trials, jobs, times.size * da * db):
-        support, h, psi0, rho0 = _draw_trials(seed, chunk, product, da, db, mixture=separability)
+        h, psi0, rho0 = _draw_trials(seed, chunk, product, da, db, mixture=separability)
         w, v = np.linalg.eigh(h)
         _, _, entropy, ratio = _schmidt(_propagate(w, v, times, psi0), (da, db))
         entropy, ratio = entropy.reshape(len(chunk), -1), ratio.reshape(len(chunk), -1)
@@ -503,13 +495,13 @@ def _theorem(
                 rhos = _propagate(w[row], v[row], times, rho0[row])
                 max_ratio, max_off = float(ratio[row].max()), float(np.linalg.norm(rhos[:, offdiag_mask], axis=1).max())
                 ok = max_ratio <= tols["ratio_tol"] and max_off <= tols["offblock_tol"]
-                records.append(TrialRecord(i, support[row], max_ratio=max_ratio, max_offblock=max_off, ok=ok))
+                records.append(TrialRecord(i, max_ratio=max_ratio, max_offblock=max_off, ok=ok))
             else:
                 max_entropy = float(entropy[row].max())
                 above = np.flatnonzero(entropy[row] > tols["entropy_threshold"])
                 onset = float(times[above[0]]) if above.size else None
                 ok = max_entropy > tols["entropy_threshold"]
-                records.append(TrialRecord(i, support[row], max_entropy=max_entropy, onset_time=onset, ok=ok))
+                records.append(TrialRecord(i, max_entropy=max_entropy, onset_time=onset, ok=ok))
     return TheoremReport(
         mode=mode,
         factor_a=_describe(ga),
@@ -535,13 +527,13 @@ def separability_theorem_check(
 ) -> TheoremReport:
     """Verify that product states over a disconnected first factor stay separable.
 
-    Each trial draws a random self-adjoint algebra element of the
-    product as Hamiltonian, then evolves one pure product state and one
-    block-diagonal mixture over the grid.  The pure state must keep
-    Schmidt ratio at rank one and the mixture must keep all mass on the
-    diagonal blocks.  ``jobs`` trial chunks, or more to keep each within
-    ``TRIAL_CHUNK_ENTRIES``, are evaluated one stack at a time: more
-    chunks lower peak memory and leave the report unchanged.
+    Each trial draws a random self-adjoint algebra element of the product,
+    with a coefficient on every transition, as Hamiltonian, then evolves one
+    pure product state and one block-diagonal mixture over the grid.  The
+    pure state must keep Schmidt ratio at rank one and the mixture must keep
+    all mass on the diagonal blocks.  ``jobs`` trial chunks, or more to keep
+    each within ``TRIAL_CHUNK_ENTRIES``, are evaluated one stack at a time:
+    more chunks lower peak memory and leave the report unchanged.
     """
     if not is_totally_disconnected(ga):
         raise ValueError(
@@ -566,9 +558,9 @@ def entanglement_counterexample(
 ) -> TheoremReport:
     """Show that a connected first factor generically entangles product states.
 
-    Same sampling as the separability check, but the tracked quantity is
-    the entanglement entropy over the grid and the time at which it
-    first crosses the threshold.
+    Same draws as the separability check but for the mixture, so a generic
+    Hamiltonian; the tracked quantity is the entanglement entropy over the
+    grid and the time at which it first crosses the threshold.
     """
     return _theorem(
         "entanglement", ga, gb, trials, grid, seed, jobs,

@@ -464,7 +464,7 @@ def test_theorem_separability_mode(capsys):
     code, out, _ = run(capsys, "theorem", CAT, QCAT, "--trials", "3", "--grid", "0:2:5")
     assert code == 0
     header, rows = table(out)
-    assert header == ["trial", "support", "ratio", "offblock", "entropy", "onset", "ok"]
+    assert header == ["trial", "ratio", "offblock", "entropy", "onset", "ok"]
     summary = rows[-1]
     assert summary[0] == "SUMMARY"
     assert summary[1] == "mode=separability"
@@ -565,8 +565,8 @@ def test_theorem_text_columns_line_up_with_the_trial_records(capsys, pair):
     argv = ["theorem", *pair, "--trials", "3", "--grid", "0:2:5"]
     text, structured = run(capsys, *argv)[1], run(capsys, *argv, "--format", "structured")[1]
     header, rows = table(text.split("\nSUMMARY")[0])
-    assert header == ["trial", "support", "ratio", "offblock", "entropy", "onset", "ok"]
-    keys = ["index", "support_size", "max_ratio", "max_offblock", "max_entropy", "onset_time", "ok"]
+    assert header == ["trial", "ratio", "offblock", "entropy", "onset", "ok"]
+    keys = ["index", "max_ratio", "max_offblock", "max_entropy", "onset_time", "ok"]
     assert rows == [[_cell(t[k]) for k in keys] for t in json.loads(structured)["trials"]]
 
 

@@ -19,3 +19,4 @@ def test_replay_of_a_checkout_against_itself_agrees(tmp_path):
         assert workload["exit_codes_differ"] == workload["tags_differ"] == workload["rows_layout_differs"] == 0
         assert workload["stdout_identical"] == workload["calls"]
         assert workload["worst_rows_difference"] == 0.0
+        assert workload["failed"]["old"] == workload["failed"]["new"]
