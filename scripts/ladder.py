@@ -1,6 +1,6 @@
 """Time one layer of the library in two checkouts over a ladder of sizes, and compare what the sides compute.
 
-    python3 scripts/ladder.py OLD NEW --layer {groups,measure,verdict} [--repeats N]
+    python3 scripts/ladder.py OLD NEW --layer {groups,measure,verdict,theorem} [--repeats N]
 
 OLD and NEW are checkout roots, each with ``src/groupoidqm``; a root whose
 package is missing or would come from elsewhere (say ``PYTHONPATH``) is an
@@ -11,8 +11,11 @@ sides' peak RSS (``VmHWM``) of a fresh process that builds the row's input
 and makes its call once, and says whether the sides agree.  The rows are
 ``GROUP_ROWS`` (group generators, ``group_groupoid``, ``validate`` and
 character tables), ``MEASURE_ROWS`` (``measure``'s rows, state
-construction, ``hamiltonian_from_matrix`` and ``parse_groupoid_text``) and ``VERDICT_ROWS``
-(``classicality_verdict``).  The result is printed as one JSON object.
+construction, ``hamiltonian_from_matrix`` and ``parse_groupoid_text``), ``VERDICT_ROWS``
+(``classicality_verdict``) and ``THEOREM_ROWS`` (20 trials of each theorem
+check on the default grid).  The result is printed as one JSON object.
+Peak RSS depends on where a checkout sits, so place OLD and NEW side by
+side under one directory.
 """
 
 from __future__ import annotations
@@ -282,8 +285,46 @@ VERDICT_ROWS = [
       for n in (2, 4, 8)),
 ]
 
+# -- theorem -----------------------------------------------------------------
+
+THEOREM_TRIALS = 20
+
+
+def theorem_call(gq, mode: str, ga, gb):
+    """``THEOREM_TRIALS`` trials of the theorem check of ``mode`` on ga × gb over the default grid."""
+    check = gq.separability_theorem_check if mode == "separability" else gq.entanglement_counterexample
+    return lambda: check(ga, gb, trials=THEOREM_TRIALS)
+
+
+def trials_agree(a, b) -> dict:
+    """NEW's verdict; with OLD, whether the verdicts and every trial's ok and onset agree, and the largest
+    difference in each trial float (None where the mode records none)."""
+    row = {"passed": b.passed}
+    if a is not None:
+        outcomes = [[(t.ok, t.onset_time) for t in r.trials] for r in (a, b)]
+        row["same_trials"] = a.passed == b.passed and outcomes[0] == outcomes[1]
+        for key in ("max_ratio", "max_offblock", "max_entropy"):
+            pairs = [(getattr(x, key), getattr(y, key)) for x, y in zip(a.trials, b.trials)]
+            row[f"{key}_difference"] = max((abs(x - y) for x, y in pairs if x is not None), default=None)
+    return row
+
+
+THEOREM_ROWS = [
+    *(Row(f"separability discrete(2) x pair({m})", {"d": 2 * m, "transitions": 2 * m * m},
+          lambda gq, m=m: theorem_call(gq, "separability", gq.discrete_groupoid(2), gq.pair_groupoid(m)), trials_agree)
+      for m in (3, 8, 16, 32)),
+    *(Row(f"entanglement pair(2) x pair({m})", {"d": 2 * m, "transitions": 4 * m * m},
+          lambda gq, m=m: theorem_call(gq, "entanglement", gq.pair_groupoid(2), gq.pair_groupoid(m)), trials_agree)
+      for m in (3, 8, 16, 32)),
+    # no side has two outcomes, so the Schmidt values come from LAPACK on both sides
+    Row("entanglement pair(3) x pair(3)", {"d": 9, "transitions": 81},
+        lambda gq: theorem_call(gq, "entanglement", gq.pair_groupoid(3), gq.pair_groupoid(3)), trials_agree),
+]
+
 # the rows and the default --repeats of each layer
-LAYERS = {"groups": (GROUP_ROWS, 5), "measure": (MEASURE_ROWS, 50), "verdict": (VERDICT_ROWS, 4)}
+LAYERS = {
+    "groups": (GROUP_ROWS, 5), "measure": (MEASURE_ROWS, 50), "verdict": (VERDICT_ROWS, 4), "theorem": (THEOREM_ROWS, 5),
+}
 
 # run in a fresh process: the peak RSS of one row's call, built and made once with one checkout.  It reads VmHWM, the
 # high-water mark of the process's own memory since exec; ru_maxrss would also count the forking parent's.
@@ -327,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--layer", required=True, choices=tuple(LAYERS))
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timed calls per side and row (default 5 for groups, 50 for measure, 4 for verdict); "
+                        help="timed calls per side and row (default 5 for groups, 50 for measure, 4 for verdict, "
+                        "5 for theorem); "
                         "measure's rows other than measure's own take a tenth, at least 3")
     args = parser.parse_args(argv)
     try:

@@ -8,10 +8,11 @@ workload and seed, the pool of ``--rounds`` rounds comes from NEW's
 runs in process through OLD's ``cli.main`` and through NEW's.  Each call
 is compared on its exit code, its failure tags (``check_call``), whether
 its stdout is byte-identical (or equal once the top-level keys only one
-side has are dropped), and, for payloads with ``rows``, the layout
-of the rows (keys, order and every non-float value) and their largest
-float difference.  A line is printed for each call whose exit code, tags
-or row layout differ, then one summary per workload, and last the whole
+side has are dropped), and, when both exit 0, the layout of the JSON
+payloads (keys, order and every non-float value) and the largest
+difference of each float key (``worst_differences``, nonzero ones in the
+printed summary).  A line is printed for each call whose exit code, tags
+or layout differ, then one summary per workload, and last the whole
 summary as one JSON object.  A call fails when it carries at least one
 tag; each summary counts the failed calls per side (``failed``), the
 share that the benchmark's failure gate compares.  The exit status is 1
@@ -60,27 +61,28 @@ def run_calls(cli, calls) -> list[tuple[int, str, str]]:
     return outputs
 
 
-def compare_rows(old_out: str, new_out: str) -> tuple[bool, float] | None:
-    """(same layout, largest float difference) of two payloads' ``rows``, or None without rows on both sides."""
+def compare_payloads(old_out: str, new_out: str) -> tuple[bool, dict[str, float]] | None:
+    """(same layout, the largest difference of each float key) of two JSON payloads, or None if one is not JSON.
+
+    The layout is every key, its order and every value that is not a float; a float in a list counts under the
+    key of the list."""
     try:
-        old, new = json.loads(old_out).get("rows"), json.loads(new_out).get("rows")
-    except (json.JSONDecodeError, AttributeError):
+        old, new = json.loads(old_out), json.loads(new_out)
+    except json.JSONDecodeError:
         return None
-    if old is None and new is None:
-        return None
-    if not (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)):
-        return False, float("nan")
-    worst = 0.0
-    for a, b in zip(old, new):
-        if list(a) != list(b):
-            return False, float("nan")
-        for key, x in a.items():
-            y = b[key]
-            if isinstance(x, float) and isinstance(y, float):
-                worst = max(worst, abs(x - y))
-            elif x != y or type(x) is not type(y):
-                return False, float("nan")
-    return True, worst
+    worst: dict[str, float] = {}
+
+    def same(a, b, key: str) -> bool:
+        if isinstance(a, float) and isinstance(b, float):
+            worst[key] = max(worst.get(key, 0.0), abs(a - b))
+            return True
+        if isinstance(a, dict) and isinstance(b, dict):
+            return list(a) == list(b) and all(same(a[k], b[k], k) for k in a)
+        if isinstance(a, list) and isinstance(b, list):
+            return len(a) == len(b) and all(same(x, y, key) for x, y in zip(a, b))
+        return type(a) is type(b) and a == b
+
+    return same(old, new, ""), worst
 
 
 def equal_apart_from_new_keys(old_out: str, new_out: str) -> bool:
@@ -99,7 +101,7 @@ def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], roun
 
     summary = {
         "calls": 0, "exit_codes_differ": 0, "tags_differ": 0, "stdout_identical": 0,
-        "stdout_identical_apart_from_new_keys": 0, "rows_layout_differs": 0, "worst_rows_difference": 0.0, "tags": {"old": {}, "new": {}},
+        "stdout_identical_apart_from_new_keys": 0, "layout_differs": 0, "worst_differences": {}, "tags": {"old": {}, "new": {}},
         "failed": {"old": 0, "new": 0},
     }
     for seed in seeds:
@@ -118,21 +120,22 @@ def replay(old_root: Path, new_root: Path, workload: str, seeds: list[int], roun
                 summary["failed"][side] += bool(tags[side])
                 for tag in tags[side]:
                     summary["tags"][side][tag] = summary["tags"][side].get(tag, 0) + 1
-            rows = compare_rows(old_out, new_out) if old_code == new_code == 0 else None
+            layout = compare_payloads(old_out, new_out) if old_code == new_code == 0 else None
             summary["calls"] += 1
             summary["exit_codes_differ"] += old_code != new_code
             summary["tags_differ"] += tags["old"] != tags["new"]
             summary["stdout_identical"] += old_out == new_out
             summary["stdout_identical_apart_from_new_keys"] += old_out == new_out or equal_apart_from_new_keys(old_out, new_out)
-            if rows is not None:
-                summary["rows_layout_differs"] += not rows[0]
-                if rows[0]:
-                    summary["worst_rows_difference"] = max(summary["worst_rows_difference"], rows[1])
-            if old_code != new_code or tags["old"] != tags["new"] or (rows is not None and not rows[0]):
+            if layout is not None:
+                summary["layout_differs"] += not layout[0]
+                if layout[0]:
+                    worst = summary["worst_differences"]
+                    worst.update((k, max(worst.get(k, 0.0), x)) for k, x in layout[1].items())
+            if old_code != new_code or tags["old"] != tags["new"] or (layout is not None and not layout[0]):
                 print(
                     f"{workload} seed {seed} round {r} "
                     f"{call.label}: exit {old_code} -> {new_code}, tags {tags['old']} -> {tags['new']}, "
-                    f"rows layout {'same' if rows is None or rows[0] else 'differs'}"
+                    f"layout {'same' if layout is None or layout[0] else 'differs'}"
                 )
     return summary
 
@@ -158,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{workload}: {s['calls']} calls, exit codes differ on {s['exit_codes_differ']}, "
                 f"tags differ on {s['tags_differ']}, stdout identical on {s['stdout_identical']} "
                 f"({s['stdout_identical_apart_from_new_keys']} apart from keys only one side has), "
-                f"rows layout differs on {s['rows_layout_differs']}, worst rows difference {s['worst_rows_difference']:.3e}, "
+                f"layout differs on {s['layout_differs']}, worst differences "
+                f"{ {k: float(f'{x:.3e}') for k, x in sorted(s['worst_differences'].items()) if x} }, "
                 f"tags old {s['tags']['old']} new {s['tags']['new']}, "
                 f"failed old {s['failed']['old']}/{s['calls']} new {s['failed']['new']}/{s['calls']}"
             )

@@ -3,12 +3,14 @@
 Hamiltonians are self-adjoint algebra elements (or matrices certified
 to lie in the represented algebra).  All dynamics goes through one
 kernel: one eigendecomposition of the Hamiltonian, then one batched
-propagation that yields every grid point at once, and one batched SVD
-for the Schmidt data of a stack of states; `evolve`'s unitarity residual
-is bounded from the eigenbasis.  Both theorem modes share one trial runner
-that takes each chunk of trials through it as one stack; only mixed
-starts go one trial at a time.  Unitarity, normalization and energy
-conservation are tracked as residuals rather than assumed.
+propagation that yields every grid point at once, and one batched
+Schmidt decomposition of a stack of states, in closed form when a side
+has two outcomes and by one LAPACK SVD otherwise; `evolve`'s unitarity
+residual is bounded from the eigenbasis.  Both theorem modes share one
+trial runner that takes each chunk of trials through it as one stack;
+a mixed start goes as its component vectors, and its off-block norm
+comes from their per-block Gram matrices.  Unitarity, normalization and
+energy conservation are tracked as residuals rather than assumed.
 
 For a direct product whose first factor is totally disconnected, the
 outcome space splits into blocks, one per first-factor outcome, and
@@ -58,9 +60,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (0.0, 10.0, 101)
-# Largest trial chunk of the theorem checks, in entries of its (trials, grid
-# points, d) stack of evolved vectors, so that peak memory stays bounded
-# whatever the number of trials.
+# Largest trial chunk of the theorem checks, in entries of its stack of evolved
+# vectors (trials, starts per trial, grid points, d), so that peak memory stays
+# bounded whatever the number of trials.
 TRIAL_CHUNK_ENTRIES = 1 << 16
 
 
@@ -168,6 +170,8 @@ def _propagate(w: np.ndarray, v: np.ndarray, times: np.ndarray, start: np.ndarra
     ``w`` and ``v`` may carry leading stack axes, one Hamiltonian per
     entry.  A vector start (``start.ndim == w.ndim``) gives a (..., T, d)
     stack of vectors, a density start a (..., T, d, d) stack of densities.
+    The stack axes broadcast: ``w[:, None]`` and ``v[:, None]`` evolve an
+    (n, S, d) stack of S vector starts per Hamiltonian to (n, S, T, d).
     """
     ph = np.exp(-1j * times[:, None] * w[..., None, :])
     vh = np.swapaxes(v.conj(), -1, -2)
@@ -204,23 +208,65 @@ class SchmidtDiagnostics:
         return self.rank == 1
 
 
-def _schmidt(vecs: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> tuple[np.ndarray, ...]:
-    """Schmidt coefficients, ranks, entropies and ratios of a (T, da*db) stack.
+def _two_row_singular_values(rows: np.ndarray) -> np.ndarray:
+    """Both singular values, largest first, of a (N, 2, k) stack whose largest entry has modulus 1 in each matrix.
 
-    One batched SVD over the (T, da, db) reshapes.  The rank counts
+    With a the longer row's norm, b the other row's component along it and c the norm of the rest of that
+    row, each matrix has the singular values of the triangle [[a, 0], [|b|, c]], which LAPACK's DLAS2 gives
+    as σ_max = ½(hypot(a + c, |b|) + hypot(a − c, |b|)) and σ_min = a·c/σ_max.  The rest of the row is formed
+    as a vector, so σ_min keeps an absolute error near eps·σ_max; √(‖M‖_F² − σ_max²) or √eig(MMᴴ) would
+    lose half the digits of a near-product state.
+    """
+    rows = np.ascontiguousarray(rows)
+    flat = rows.view(float)  # einsum sums over the short last axes faster than np.sum
+    norms2 = np.einsum("nri,nri->nr", flat, flat)
+    swap = norms2[:, 1] > norms2[:, 0]
+    first, other = rows[:, 0].copy(), rows[:, 1].copy()
+    first[swap], other[swap] = rows[swap, 1], rows[swap, 0]
+    a2 = np.where(swap, norms2[:, 1], norms2[:, 0])
+    a = np.sqrt(a2)  # at least 1: the longer row holds the largest entry
+    along = np.einsum("nk,nk->n", first.conj(), other) / a2  # b / a
+    rest = (other - along[:, None] * first).view(float)
+    c = np.sqrt(np.einsum("ni,ni->n", rest, rest))
+    b = np.abs(along) * a
+    top = 0.5 * (np.hypot(a + c, b) + np.hypot(a - c, b))
+    return np.stack([top, a * c / top], axis=1)
+
+
+def _schmidt(vecs: np.ndarray, dims: tuple[int, int], tol: float = 1e-9) -> tuple[np.ndarray, ...]:
+    """Schmidt coefficients, ranks, entropies and ratios of a (..., da*db) stack, flattened to one axis.
+
+    Each vector is reshaped to its (da, db) matrix.  When one side has two
+    outcomes, every matrix is scaled by its largest entry and its two
+    singular values come in closed form (`_two_row_singular_values`);
+    otherwise one batched LAPACK SVD takes the stack, as no closed form of
+    three or more singular values keeps that accuracy.  The rank counts
     coefficients above ``tol`` times the largest one; the ratio is the
-    second coefficient over the first, 0 when there is only one.
+    second coefficient over the first, 0 when there is only one.  The
+    entropy's probabilities come from the coefficients divided by the power
+    of two that brings the largest into [½, 1), so they do not depend on
+    the vector's scale.
+    A zero vector, or one with a NaN or infinite entry, is a ValueError.
     """
     da, db = dims
     if da < 1 or db < 1:
         raise ValueError(f"bipartition {dims} needs positive dimensions")
     if vecs.shape[-1] != da * db:
         raise ValueError(f"vector of length {vecs.shape[-1]} does not match bipartition {dims}")
-    sv = np.linalg.svd(vecs.reshape(-1, da, db), compute_uv=False)
-    if not np.all(sv[:, 0] > 0.0):
+    mats = vecs.reshape(-1, da, db)
+    scale = np.abs(mats).max(axis=(1, 2))
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("vector with non-finite entries (NaN or infinity) has no Schmidt structure")
+    if not np.all(scale > 0.0):
         raise ValueError("zero vector has no Schmidt structure")
+    if min(da, db) == 2:
+        rows = mats if da == 2 else np.swapaxes(mats, 1, 2)
+        sv = _two_row_singular_values(rows / scale[:, None, None]) * scale[:, None]
+    else:
+        sv = np.linalg.svd(mats, compute_uv=False)
     rank = np.sum(sv > tol * sv[:, :1], axis=1)
-    p = (sv / np.linalg.norm(sv, axis=1, keepdims=True)) ** 2
+    unit = np.ldexp(sv, -np.frexp(sv[:, :1])[1])  # exact, so p is the same bits at every scale that keeps sv normal
+    p = (unit / np.linalg.norm(unit, axis=1, keepdims=True)) ** 2
     keep = p > 1e-18
     entropy = -np.sum(np.where(keep, p * np.log(np.where(keep, p, 1.0)), 0.0), axis=1)
     entropy[entropy <= 0.0] = 0.0  # clamp -0.0 and negative rounding noise
@@ -440,19 +486,21 @@ def _chunks(n_trials: int, jobs: int, trial_entries: int) -> list[np.ndarray]:
 def _draw_trials(
     seed: int, indices: np.ndarray, product: Groupoid, da: int, db: int, mixture: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Stacked Hamiltonians, pure starts and (with ``mixture``) mixed starts of trials ``indices``.
+    """Stacked Hamiltonians, pure starts and (with ``mixture``) the mixed starts' components of trials ``indices``.
 
     Trial i draws from ``default_rng([seed, i])``: the real and imaginary
     parts of a coefficient c_t on every product transition t; a first-factor
     outcome and a unit vector on its block; with ``mixture``, the block
-    weights and one unit vector per block.  Its Hamiltonian (R(c) + R(c)ᴴ)/2
-    is the image of ½(c + c*), as the fundamental representation is a
-    *-representation; a full support makes it generic.
+    weights w_x and one unit vector u_x per block.  Its Hamiltonian
+    (R(c) + R(c)ᴴ)/2 is the image of ½(c + c*), as the fundamental
+    representation is a *-representation; a full support makes it generic.
+    The mixed start Σ_x w_x (e_x ⊗ u_x)(e_x ⊗ u_x)ᴴ is returned as its
+    (n, da, d) stack of components √w_x·(e_x ⊗ u_x).
     """
     n_tr, d = product.n_transitions, da * db
     coeffs = np.zeros((len(indices), n_tr), dtype=complex)
     psi0 = np.zeros((len(indices), d), dtype=complex)
-    rho0 = np.zeros((len(indices), d, d), dtype=complex) if mixture else None
+    mix = np.zeros((len(indices), da, d), dtype=complex) if mixture else None
     for row, i in enumerate(indices.tolist()):
         rng = np.random.default_rng([seed, i])
         coeffs[row] = rng.standard_normal(n_tr) + 1j * rng.standard_normal(n_tr)
@@ -460,11 +508,28 @@ def _draw_trials(
         psi0[row, xa * db:(xa + 1) * db] = _random_unit(rng, db)
         if mixture:
             weights = rng.random(da) + 0.1
-            for x, wx in enumerate(weights / weights.sum()):
-                vec = _random_unit(rng, db)
-                rho0[row, x * db:(x + 1) * db, x * db:(x + 1) * db] = wx * np.outer(vec, vec.conj())
+            for x, wx in enumerate(np.sqrt(weights / weights.sum())):
+                mix[row, x, x * db:(x + 1) * db] = wx * _random_unit(rng, db)
     m = _represent(product, FUNDAMENTAL, np.broadcast_to(np.arange(n_tr), coeffs.shape), coeffs)
-    return (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0, rho0
+    return (m + m.conj().transpose(0, 2, 1)) / 2.0, psi0, mix
+
+
+def _offblock_squares(comps: np.ndarray, da: int, db: int) -> np.ndarray:
+    """‖ρ_off‖_F² of ρ = Σ_x φ_x φ_xᴴ for each (da, d) stack of components φ_x, over the leading axes.
+
+    With A_c = Φ_cᴴΦ_c the Gram of the components' block-c parts, ‖ρ_off‖_F² =
+    Σ_{b≠c} tr(A_b A_c), summed as 2·Re tr(P A_c) with the running prefix
+    P = Σ_{b<c} A_b: every term is as small as the off-block mass, where
+    tr(S²) − Σ tr(A_b²) would subtract O(1) terms.  Only one block's
+    Grams are held at a time.
+    """
+    grams = (np.einsum("...xi,...yi->...xy", part.conj(), part) for part in np.split(comps, da, axis=-1))
+    prefix = next(grams)
+    total = np.zeros(prefix.shape[:-2])
+    for gram in grams:
+        total += np.einsum("...xy,...xy->...", prefix.conj(), gram).real  # tr(P A_c), as both are Hermitian
+        prefix = prefix + gram
+    return 2.0 * total
 
 
 def _theorem(
@@ -474,26 +539,31 @@ def _theorem(
     """The trials of either mode; only the per-trial record depends on ``mode``.
 
     ``tols`` are the report's ratio_tol, offblock_tol, entropy_threshold and
-    min_fraction.  A chunk's Hamiltonians are diagonalized, and its pure
-    starts evolved and Schmidt-decomposed, as one stack; the mixed starts
-    of the separability mode go one trial at a time.
+    min_fraction.  A chunk's Hamiltonians are diagonalized as one stack, and
+    its starts, the pure one and in the separability mode the mixture's
+    d_A components, are evolved by one `_propagate` call; the pure starts
+    are Schmidt-decomposed as one stack, and the mixtures' off-block norms
+    come from the components' per-block Grams (`_offblock_squares`).
     """
     separability = mode == "separability"
     product = direct_product(ga, gb)
     da, db = ga.n_objects, gb.n_objects
     times = parse_grid(*grid)
-    block = np.arange(da * db) // db
-    offdiag_mask = block[:, None] != block[None, :]
     records = []
-    for chunk in _chunks(trials, jobs, times.size * da * db):
-        h, psi0, rho0 = _draw_trials(seed, chunk, product, da, db, mixture=separability)
+    # every trial evolves 1 + d_A starts in the separability mode, 1 otherwise
+    for chunk in _chunks(trials, jobs, (1 + da if separability else 1) * times.size * da * db):
+        h, psi0, mix = _draw_trials(seed, chunk, product, da, db, mixture=separability)
         w, v = np.linalg.eigh(h)
-        _, _, entropy, ratio = _schmidt(_propagate(w, v, times, psi0), (da, db))
+        starts = psi0[:, None] if mix is None else np.concatenate([psi0[:, None], mix], axis=1)
+        states = _propagate(w[:, None], v[:, None], times, starts)  # (n, starts, T, d)
+        _, _, entropy, ratio = _schmidt(states[:, 0], (da, db))
         entropy, ratio = entropy.reshape(len(chunk), -1), ratio.reshape(len(chunk), -1)
+        if separability:
+            squares = _offblock_squares(np.swapaxes(states[:, 1:], 1, 2), da, db).max(axis=1)
+            offblock = np.sqrt(np.maximum(squares, 0.0))  # a sum of PSD traces: only rounding leaves it below 0
         for row, i in enumerate(chunk.tolist()):
             if separability:
-                rhos = _propagate(w[row], v[row], times, rho0[row])
-                max_ratio, max_off = float(ratio[row].max()), float(np.linalg.norm(rhos[:, offdiag_mask], axis=1).max())
+                max_ratio, max_off = float(ratio[row].max()), float(offblock[row])
                 ok = max_ratio <= tols["ratio_tol"] and max_off <= tols["offblock_tol"]
                 records.append(TrialRecord(i, max_ratio=max_ratio, max_offblock=max_off, ok=ok))
             else:
@@ -531,9 +601,13 @@ def separability_theorem_check(
     with a coefficient on every transition, as Hamiltonian, then evolves one
     pure product state and one block-diagonal mixture over the grid.  The
     pure state must keep Schmidt ratio at rank one and the mixture must keep
-    all mass on the diagonal blocks.  ``jobs`` trial chunks, or more to keep
-    each within ``TRIAL_CHUNK_ENTRIES``, are evaluated one stack at a time:
-    more chunks lower peak memory and leave the report unchanged.
+    all mass on the diagonal blocks.  The mixture goes as its d_A component
+    vectors, evolved with the pure start, so a trial propagates 1 + d_A
+    vectors.  ``jobs`` trial chunks, or more to keep each within
+    ``TRIAL_CHUNK_ENTRIES`` counting every propagated vector, are evaluated
+    one stack at a time: more chunks lower peak memory and leave the report
+    unchanged.  With two first-factor outcomes, Schrödinger's cat, the
+    Schmidt ratios come in closed form.
     """
     if not is_totally_disconnected(ga):
         raise ValueError(

@@ -433,6 +433,54 @@ def test_schmidt_rejects_bad_inputs():
         schmidt_diagnostics(np.zeros(4), (2, 2))
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)], ids=lambda d: f"{d[0]}:{d[1]}")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(1.0, -np.inf)], ids=str)
+def test_schmidt_rejects_non_finite_entries(dims, bad):
+    # (2, 2) takes the closed form, (3, 3) the SVD; neither may pass a NaN through or call inf a zero vector
+    vec = np.ones(dims[0] * dims[1], dtype=complex)
+    vec[1] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        schmidt_diagnostics(vec, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)], ids=lambda d: f"{d[0]}:{d[1]}")
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170], ids=str)
+def test_schmidt_data_do_not_depend_on_the_scale(dims, scale):
+    # (e0 ⊗ e0 + e1 ⊗ e1) times scale; the suite turns an overflow or a division by zero into an error
+    vec = np.zeros(dims[0] * dims[1])
+    vec[0] = vec[dims[1] + 1] = scale
+    d = schmidt_diagnostics(vec, dims)
+    assert d.entropy == pytest.approx(np.log(2.0), rel=0, abs=1e-12)
+    assert d.rank == 2
+    assert d.ratio == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert_allclose(d.coefficients[:2], scale, rtol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 8), st.booleans(), st.sampled_from([0.0, 1e-16, 1e-13, 1e-10, 1e-6]), st.integers(0, 2**32 - 1))
+def test_two_outcome_schmidt_values_match_one_svd_per_matrix(m, tall, perturbation, seed):
+    # 2 x m stacks (m x 2 when tall) of products u wᵀ plus a perturbation, the second row rescaled by 1e-8 to 1e8,
+    # an eighth with a zero row: the closed form against LAPACK one matrix at a time
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n = 64
+    mats = gauss(n, 2, 1) * gauss(n, 1, m) + perturbation * gauss(n, 2, m)
+    mats[:, 1] *= 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    mats[: n // 8, rng.integers(2)] = 0.0
+    if tall:
+        mats = np.swapaxes(mats, 1, 2)
+    dims = mats.shape[1:]
+    sv, rank, _, ratio = _schmidt(mats.reshape(n, -1), dims)
+    for k in range(n):
+        want_sv, want_rank, _, want_ratio = reference_schmidt(mats[k].ravel(), dims)
+        assert np.abs(sv[k] - want_sv).max() <= 1e-12 * want_sv[0]
+        assert rank[k] == want_rank
+        assert abs(ratio[k] - want_ratio) <= 1e-12
+
+
 @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (4, 0), (2, -2)], ids=lambda d: f"{d[0]}:{d[1]}")
 def test_schmidt_rejects_non_positive_dimensions(dims):
     # (-2, -2) and (-1, -4) have the vector's length as their product
@@ -441,6 +489,26 @@ def test_schmidt_rejects_non_positive_dimensions(dims):
 
 
 # -- theorem-scale trials --------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0]), st.integers(0, 2**32 - 1))
+def test_offblock_norms_from_component_grams_match_the_density(da, db, leak, seed):
+    # components e_x ⊗ u_x plus a leak of the given size into every block: ‖ρ_off‖_F from the prefix Grams
+    # against the off-block entries of ρ = Σ_x φ_x φ_xᴴ, formed whole
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    d, block = da * db, np.arange(da * db) // db
+    comps = leak * gauss(5, da, d)
+    for x in range(da):
+        comps[:, x, x * db:(x + 1) * db] += gauss(5, db)
+    rho = np.swapaxes(comps, 1, 2) @ comps.conj()
+    want = np.linalg.norm(rho[:, block[:, None] != block[None, :]], axis=1)
+    got = np.sqrt(np.maximum(dynamics._offblock_squares(comps, da, db), 0.0))
+    assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_separability_check_passes_for_classical_factor():
@@ -531,6 +599,14 @@ def test_trial_chunks_are_bounded(monkeypatch):
     capped = entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
     monkeypatch.setattr(dynamics, "TRIAL_CHUNK_ENTRIES", 1 << 16)
     assert capped == entanglement_counterexample(*args, trials=5, grid=QUICK_GRID).to_dict()
+    # the separability mode propagates 1 + d_A starts a trial, here 3 × 21 points × d = 4 entries, and counts them all
+    args = (discrete_groupoid(2), pair_groupoid(2))
+    whole = separability_theorem_check(*args, trials=5, grid=QUICK_GRID).to_dict()
+    sizes, propagate = [], dynamics._propagate
+    monkeypatch.setattr(dynamics, "_propagate", lambda *a: (lambda out: sizes.append(out.size) or out)(propagate(*a)))
+    monkeypatch.setattr(dynamics, "TRIAL_CHUNK_ENTRIES", 2 * 252)
+    assert separability_theorem_check(*args, trials=5, grid=QUICK_GRID).to_dict() == whole
+    assert sizes == [504, 504, 252]
 
 
 def test_a_huge_job_count_asks_for_no_more_chunks_than_trials(array_split_within_trials):
@@ -570,7 +646,8 @@ def test_every_trial_on_a_connected_first_factor_entangles():
 
 
 def reference_trials(ga, gb, n_trials, grid, seed, mixture):
-    """One trial at a time, with the Hamiltonian built as an algebra element: the reference for the trial stack."""
+    """One trial at a time, with the Hamiltonian built as an algebra element, one SVD per state and the mixture
+    propagated as a density: the reference for the trial stack."""
     product = direct_product(ga, gb)
     da, db = ga.n_objects, gb.n_objects
     n, times = product.n_transitions, parse_grid(*grid)
@@ -589,19 +666,21 @@ def reference_trials(ga, gb, n_trials, grid, seed, mixture):
         psi0 = np.zeros(da * db, dtype=complex)
         unit = rng.standard_normal(db) + 1j * rng.standard_normal(db)
         psi0[xa * db:(xa + 1) * db] = unit / np.linalg.norm(unit)
-        _, _, entropy, ratio = _schmidt(_propagate(w, v, times, psi0), (da, db))
-        record = {"h": h, "psi0": psi0, "ratio": float(ratio.max()), "entropy": entropy}
+        schmidt = [reference_schmidt(psi, (da, db)) for psi in _propagate(w, v, times, psi0)]
+        ratio, entropy = max(r for _, _, _, r in schmidt), np.array([e for _, _, e, _ in schmidt])
+        record = {"h": h, "psi0": psi0, "ratio": ratio, "entropy": entropy}
         if mixture:
             weights = rng.random(da) + 0.1
             weights /= weights.sum()
-            rho0 = np.zeros((da * db, da * db), dtype=complex)
+            rho0, mix = np.zeros((da * db, da * db), dtype=complex), np.zeros((da, da * db), dtype=complex)
             for x in range(da):
                 vec = np.zeros(da * db, dtype=complex)
                 unit = rng.standard_normal(db) + 1j * rng.standard_normal(db)
                 vec[x * db:(x + 1) * db] = unit / np.linalg.norm(unit)
                 rho0 += weights[x] * np.outer(vec, vec.conj())
+                mix[x] = np.sqrt(weights[x]) * vec
             rhos = _propagate(w, v, times, rho0)
-            record.update(rho0=rho0, offblock=float(np.linalg.norm(rhos[:, off], axis=1).max()))
+            record.update(mix=mix, offblock=float(np.linalg.norm(rhos[:, off], axis=1).max()))
         out.append(record)
     return out
 
@@ -641,10 +720,10 @@ def test_theorem_trials_match_per_trial_reference(separability, data, n_trials, 
             assert got.ok == bool(above.size)
     if n_trials:
         product = direct_product(ga, gb)
-        h, psi0, rho0 = _draw_trials(seed, np.arange(n_trials), product, ga.n_objects, gb.n_objects, separability)
+        h, psi0, mix = _draw_trials(seed, np.arange(n_trials), product, ga.n_objects, gb.n_objects, separability)
         # bit-equal, signed zeros included, so every draw keeps its place in the order
         assert h.tobytes() == np.stack([r["h"] for r in ref]).tobytes()
         assert psi0.tobytes() == np.stack([r["psi0"] for r in ref]).tobytes()
-        assert (rho0 is None) == (not separability)
+        assert (mix is None) == (not separability)
         if separability:
-            assert rho0.tobytes() == np.stack([r["rho0"] for r in ref]).tobytes()
+            assert mix.tobytes() == np.stack([r["mix"] for r in ref]).tobytes()

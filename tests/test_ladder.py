@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-AGREEMENT = {"groups": "same", "measure": "rows_equal", "verdict": "same_decision"}
+AGREEMENT = {"groups": "same", "measure": "rows_equal", "verdict": "same_decision", "theorem": "same_trials"}
 
 
 def package_modules() -> dict:
