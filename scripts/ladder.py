@@ -12,7 +12,8 @@ and makes its call once, and says whether the sides agree.  The rows are
 ``GROUP_ROWS`` (group generators, ``group_groupoid``, ``validate`` and
 character tables), ``MEASURE_ROWS`` (``measure``'s rows, state
 construction, ``hamiltonian_from_matrix`` and ``parse_groupoid_text``), ``VERDICT_ROWS``
-(``classicality_verdict``) and ``THEOREM_ROWS`` (20 trials of each theorem
+(``classicality_verdict``, with the matrices each side's ``lattice._meet_m``
+took in one call) and ``THEOREM_ROWS`` (20 trials of each theorem
 check on the default grid).  The result is printed as one JSON object.
 Peak RSS depends on where a checkout sits, so place OLD and NEW side by
 side under one directory.
@@ -264,16 +265,39 @@ def decision(v) -> list:
             None if w is None else [w.law, list(w.operands), [v.propositions[i].label for i in w.operands]]]
 
 
-def decided(a, b) -> dict:
-    row = {"summary": b.report.summary(), "consistent": b.consistent}
-    if a is not None:
+def meets_counted(gq, call: Callable) -> Callable:
+    """``call`` with the checkout's ``lattice._meet_m`` wrapped: (its result, the matrices the meets took)."""
+    def counted():
+        meet, rows = gq.lattice._meet_m, []
+
+        def spy(p, q):
+            rows.append(len(p))
+            return meet(p, q)
+
+        gq.lattice._meet_m = spy
+        try:
+            return call(), sum(rows)
+        finally:
+            gq.lattice._meet_m = meet
+    return counted
+
+
+def decided(old, new) -> dict:
+    """NEW's summary, consistency and meets; with OLD, whether the decisions agree, the witness residuals' difference
+    and OLD's meets.  Each side is a (verdict, meets) pair from `meets_counted`."""
+    b, meets = new
+    row = {"summary": b.report.summary(), "consistent": b.consistent, "new_meets": meets}
+    if old is not None:
+        a, meets = old
         ra, rb = (None if v.witness is None else v.witness.residual for v in (a, b))
-        row.update(same_decision=decision(a) == decision(b), residual_difference=None if None in (ra, rb) else abs(ra - rb))
+        row.update(same_decision=decision(a) == decision(b), residual_difference=None if None in (ra, rb) else abs(ra - rb),
+                   old_meets=meets)
     return row
 
 
 def verdict_row(name: str, transitions: int, shape: Callable, old: bool = True) -> Row:
-    return Row(name, {"transitions": transitions}, lambda gq: lambda g=shape(gq): gq.classicality_verdict(g), decided, old)
+    return Row(name, {"transitions": transitions},
+               lambda gq: meets_counted(gq, lambda g=shape(gq): gq.classicality_verdict(g)), decided, old)
 
 
 VERDICT_ROWS = [

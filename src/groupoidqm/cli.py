@@ -94,7 +94,8 @@ _bipartition_flag = _checked_flag(
     lambda raw: tuple(map(int, raw.split(":"))), lambda v: len(v) == 2 and min(v) > 0,
     "bipartition must look like dimA:dimB with positive dimensions")
 _seed_flag = _checked_flag(int, lambda v: v >= 0, "seed must be a non-negative integer")
-_tol_flag = _checked_flag(float, lambda v: math.isfinite(v) and v > 0, "tolerance must be a finite number above 0")
+# every law residual and the order's ‖(I − P_j) U_i‖ is at most 1, so a tolerance of 1 or more passes every law
+_tol_flag = _checked_flag(float, lambda v: 0 < v < 1, "tolerance must lie above 0 and below 1, which bounds every lattice residual")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=_seed_flag, default=42, help="random seed, at least 0 (default 42)")
     tuned = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    tuned.add_argument("--tol", type=_tol_flag, default=1e-9, help="numerical tolerance override, finite and above 0")
+    tuned.add_argument("--tol", type=_tol_flag, default=1e-9, help="numerical tolerance override, above 0 and below 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="check a groupoid file against all axioms")

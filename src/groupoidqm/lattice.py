@@ -64,6 +64,10 @@ DEFAULT_TOL = 1e-9
 MEET_TOL = 1e-12
 MEET_MAX_ITER = 500
 MEET_PIN_TOL = 1e-12
+# The verdict takes the meets of a compatibility pair whose witness μ has min(μ, 1 − μ) below this (`_check_blocks`):
+# the Gram's μ and the meets' eigenvalues differ by about 1e-15 near the pins' 5e-13, at most by the tolerance 1e-9
+# that certifies the members.
+_PIN_MARGIN = 1e-6
 # The lattice engine and route three process their stacks of matrices this many
 # complex entries (128 KiB) at a time.
 CHUNK_ENTRIES = 8192
@@ -526,9 +530,10 @@ def check_boolean(
     (Foulis–Holland).  The laws are decided from the principal angles between
     the members' ranges (Jordan, 1875).  Residuals are operator norms of the two
     sides' difference, taken with the meets of `_meet_m` on the d x d members,
-    only for the violators.  Violations come in the order of the loops above;
-    ``fail_fast`` stops at the first.  This is `_check_blocks` on one block, the
-    whole space.
+    for every candidate violator: the reference for the verdict, which gives
+    most compatibility violations their closed form 1.  Violations come in the
+    order of the loops above; ``fail_fast`` stops at the first.  This is
+    `_check_blocks` on one block, the whole space.
     """
     if not props:
         return LatticeReport(0, 0, 0, (), note)
@@ -551,7 +556,12 @@ def _check_blocks(blocks: Sequence[np.ndarray], ranges: Sequence[tuple[np.ndarra
     ‖P − Q‖ is the larger of ‖(I − Q) P‖ and ‖(I − P) Q‖ (Kato); a broken chain is a path of
     two in the order.  Residuals are computed on the block, or under ``joint`` (the verdict)
     on a basis of ran P_i + ran P_j where that is smaller: `check_boolean` keeps the d x d
-    members as the reference for the verdict's residuals.
+    members, and every residual, as the reference for the verdict's.  Under ``joint`` a
+    compatibility residual takes its meets only for the first violator, the witness, and for
+    the pairs whose witness μ lies within ``_PIN_MARGIN`` of a pin, where the meets may pin an
+    angle that the Gram does not; every other unpinned pair has the closed form 1 (Halmos, 1969):
+    both meets lie in ran P_i, so P_i − (P_i ∧ P_j) − (P_i ∧ P_j′) is the projection onto P_i's
+    principal vectors at the angles the meets leave unpinned, the witness's among them.
     """
     n, violations = blocks[0].shape[0], []
     proper = [(rank > 0) & (rank < m.shape[-1]) for m, (_, rank) in zip(blocks, ranges)]
@@ -577,7 +587,8 @@ def _check_blocks(blocks: Sequence[np.ndarray], ranges: Sequence[tuple[np.ndarra
                 out[k[s][over]] = np.maximum(out[k[s][over]], _norms(x[over]))
         return out
 
-    # per block: the order, and for each pair i < j the μ of its unpinned angle farthest from 0 and π/2
+    # per block: the order, and for each pair i < j the μ of its unpinned angle farthest from 0 and π/2, and that
+    # angle's spread min(μ, 1 − μ)
     below, spread, witness = np.ones((n, n), dtype=bool), np.full((n, n), -1.0), np.zeros((n, n))
     for mats, (iso, rank), ok in zip(blocks, ranges, proper):
         r, idx = mats.shape[-1], np.flatnonzero(ok)
@@ -618,7 +629,21 @@ def _check_blocks(blocks: Sequence[np.ndarray], ranges: Sequence[tuple[np.ndarra
     # compatibility of every pair i < j, in row-major order: only an unpinned pair can fail
     skip = done()
     ui, uj = np.nonzero(spread >= 0) if not skip else (np.zeros(0, dtype=np.intp),) * 2
-    res = worst(ui, uj, lambda p, q, e: p - _meet_m(p, q) - _meet_m(p, e - q))
+
+    def law(p, q, e):
+        return p - _meet_m(p, q) - _meet_m(p, e - q)
+
+    if joint:  # the closed form 1; meets for the pairs near a pin and for the witness, the first violator
+        met = spread[ui, uj] < _PIN_MARGIN
+        res = np.full(ui.size, 1.0 if 1.0 > tol else 0.0)
+        res[met] = worst(ui[met], uj[met], law)
+        for w in np.flatnonzero(~(res <= tol)).tolist():
+            if not met[w]:
+                res[w] = worst(ui[w:w + 1], uj[w:w + 1], law)[0]
+            if not res[w] <= tol:
+                break
+    else:
+        res = worst(ui, uj, law)
     bad = np.flatnonzero(~(res <= tol))[:1 if fail_fast else None]
     angle = np.arccos(np.sqrt(np.clip(witness[ui[bad], uj[bad]], 0.0, 1.0)))
     violations += [LawViolation("compatibility", (i, j), r, a)
@@ -697,7 +722,10 @@ def classicality_verdict(
     Route one tests the lattice laws, pairwise compatibility among them,
     on the canonical generating family, and uses no matrix commutator;
     route two inspects connectivity and isotropy commutativity; route
-    three measures commutators of the represented basis directly.
+    three measures commutators of the represented basis directly.  Route
+    one's compatibility violations, but for the witness and the pairs near
+    a pin, carry their closed-form residual 1 (`_check_blocks` under
+    ``joint``); `check_boolean` computes every one.
     """
     blocks = orbit_blocks(g, rep)
     props = _family(g, blocks, samples, seed, rep)

@@ -652,7 +652,7 @@ def _rejected_at_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in captured.err
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0", "nan", "inf", "-inf", "1", "1.2"])
 @pytest.mark.parametrize("argv", [["classify", CAT], ["lattice", S3]], ids=["classify", "lattice"])
 def test_tol_must_be_finite_and_positive(capsys, argv, value):
     _rejected_at_the_flag(capsys, [*argv, "--tol", value], "--tol")

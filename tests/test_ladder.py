@@ -38,6 +38,8 @@ def test_first_row_of_each_layer_agrees_with_itself(ladder, monkeypatch, layer):
     (row,) = ladder.compare(ROOT, ROOT, layer, repeats=1).values()
     assert row[AGREEMENT[layer]] is True
     assert row["old_rss_mb"] > 0 and row["new_rss_mb"] > 0
+    if layer == "verdict":  # pair(8)'s verdict takes meets for its witness and orthomodularity
+        assert row["old_meets"] == row["new_meets"] > 0
 
 
 def test_loader_names_a_root_without_the_package(ladder, monkeypatch, tmp_path):

@@ -951,6 +951,91 @@ def test_pinned_pairs_take_no_meet():
     assert report.is_boolean and report.triples_tested == 6
 
 
+def rotated_pair(rng, d: int, thetas) -> list[np.ndarray]:
+    """P and Q in C^d whose principal angles are ``thetas``, in coordinates rotated by a Haar-random unitary."""
+    k = len(thetas)
+    w, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u, v = w[:, :k], w[:, :k] * np.cos(thetas) + w[:, k:2 * k] * np.sin(thetas)
+    return [u @ u.conj().T, v @ v.conj().T]
+
+
+def verdict_engine_matches(mats) -> LatticeReport:
+    """`check_boolean`'s report on ``mats``, after asserting that the verdict's engine (``joint``) reports the same,
+    residuals within 1e-12.  Every member has rank at most d/2, so both take their meets on the same matrices."""
+    stack = np.stack(mats)
+    want = check_boolean([certified(m) for m in mats])
+    got = _check_blocks([stack], lattice._ranges([stack]), DEFAULT_TOL, False, "", joint=True)
+    assert (got.triples_tested, got.pairs_by_support) == (want.triples_tested, want.pairs_by_support)
+    assert [(v.law, v.operands) for v in got.violations] == [(v.law, v.operands) for v in want.violations]
+    assert_allclose([v.residual for v in got.violations], [v.residual for v in want.violations], rtol=0, atol=1e-12)
+    return want
+
+
+def test_the_verdict_computes_the_residuals_of_pairs_near_a_pin():
+    # rank-one P and Q in C² whose cos² θ lies a few ulps from the pin √(1 − 1e-12), or whose sin² θ does, after
+    # the (A, B) witness at 45°: for some rotations the Gram's μ is unpinned while a meet's eigenvalue is pinned,
+    # so the meets find P and Q compatible, and the closed form 1 would call them a violation
+    pin, ulp = np.sqrt(1.0 - MEET_PIN_TOL), 2.0 ** -53
+    straddles = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for k in range(-16, 17):
+            for c2 in (pin + k * ulp, 1.0 - (pin + k * ulp)):
+                mats = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)] + rotated_pair(rng, 2, [np.arccos(np.sqrt(c2))])
+                report = verdict_engine_matches(mats)
+                assert report.violations[0].operands == (0, 1)
+                (u, _), = lattice._ranges([np.stack(mats)])
+                mu = abs(np.vdot(u[2, :, 0], u[3, :, 0])) ** 2
+                unpinned = mu * mu < 1.0 - MEET_PIN_TOL and (1.0 - mu) ** 2 < 1.0 - MEET_PIN_TOL
+                straddles += unpinned and (2, 3) not in [v.operands for v in report.violations]
+    assert straddles > 0
+    # the same straddle placed by hand, whatever the rounding: Q's range as the Gram reads it sits 16 ulps further
+    # from e1 than Q itself, below the pin where the meets on the members pin Q's cos² θ
+    mats = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5), np.diag([1.0, 0.0])]
+    mats.append(np.outer(*[[np.sqrt(pin + 8 * ulp), np.sqrt(1.0 - pin - 8 * ulp)]] * 2))
+    (iso, rank), = lattice._ranges([np.stack(mats)])
+    iso[3, :, 0] = np.sqrt(pin - 8 * ulp), np.sqrt(1.0 - pin + 8 * ulp)
+    got = _check_blocks([np.stack(mats).astype(complex)], [(iso, rank)], DEFAULT_TOL, False, "", joint=True)
+    assert [v.operands for v in got.violations] == [v.operands for v in check_boolean([certified(m) for m in mats]).violations]
+    assert (2, 3) not in [v.operands for v in got.violations]
+
+
+def test_a_pair_far_from_the_pins_on_its_witness_angle_has_residual_one():
+    # rank-three P and Q in C^6 at the angles 0, θ and π/3, θ scanned across the pin from both sides, after the
+    # (A, B) witness: the meets pin θ or not, and the eigenvectors of the pinned cluster mix with θ's, but both stay
+    # in ran P, so P − (P ∧ Q) − (P ∧ Q′) stays a projection that holds π/3's direction, and its norm 1; the
+    # verdict, which takes the meets only where the witness angle π/3 lies within the margin of a pin, agrees
+    pin = np.sqrt(1.0 - MEET_PIN_TOL)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a, b = (np.outer(x, x) / (x @ x) for x in rng.standard_normal((2, 6)))
+        for c2 in (pin - 1e-13, pin, pin + 1e-13, 1.0 - 2e-12, 1.0 - pin, 1e-12):
+            report = verdict_engine_matches([a, b] + rotated_pair(rng, 6, [0.0, np.arccos(np.sqrt(c2)), np.pi / 3]))
+            assert report.violations[0].operands == (0, 1)
+            residual = {v.operands: v.residual for v in report.violations}[(2, 3)]
+            assert abs(residual - 1.0) <= 1e-14
+
+
+def test_the_verdict_takes_meets_only_for_its_witness_on_s4():
+    # the 433 unpinned pairs of S4's family are all compatibility violations, and none has its witness angle near a
+    # pin: check_boolean takes the two meets of each, the verdict those of its witness alone; the orthomodularity
+    # stage takes the same meets in both
+    g = symmetric_group(4)
+    meet, rows = lattice._meet_m, []
+
+    def spy(p, q):
+        rows.append(len(p))
+        return meet(p, q)
+
+    with mock.patch.object(lattice, "_meet_m", spy):
+        v = classicality_verdict(g)
+        verdict_rows, rows[:] = sum(rows), []
+        want = check_boolean(canonical_propositions(g))
+    assert v.report.summary() == want.summary() and want.by_law() == {"compatibility": 433}
+    assert v.witness.operands == want.violations[0].operands
+    assert sum(rows) - verdict_rows == 2 * 433 - 2
+
+
 def test_check_boolean_memory_stays_chunked():
     # a first verdict pays one-off allocations that later calls do not repeat
     classicality_verdict(pair_groupoid(2))
